@@ -1,23 +1,19 @@
-//! The `BENCH_*.json` document model: one emitter, one parser, one
-//! schema check.
+//! The repo's JSON document model: one emitter, one parser, one schema
+//! check.
 //!
-//! The repo commits machine-readable perf trajectories
-//! (`BENCH_engine.json`, `BENCH_cluster.json`) next to the
-//! human-readable `results/` tables. The original emitter was inline
-//! string concatenation in `bench_engine`, which meant nothing checked
-//! that the committed files stayed parseable or that two benches agreed
-//! on the envelope. This module centralizes the format:
+//! Scenario documents, `um-sweep --json` point files (committed as
+//! `results/sweep_default.json`), um-serve results and `um-tidy --json`
+//! all render through this module:
 //!
 //! - [`Json`] is a minimal ordered document model (objects preserve key
 //!   order, so emitted files are deterministic without sorted maps).
 //! - [`Json::render`] pretty-prints it; [`Json::parse`] reads it back.
-//!   Round-tripping is exact — see the module tests — so the committed
+//!   Round-tripping is exact — see the module tests — so committed
 //!   files cannot drift from what the emitter produces.
-//! - [`validate_bench`] enforces the shared envelope every
-//!   `BENCH_*.json` satisfies: a `bench` name, a `scale`, and a
-//!   non-empty homogeneous `points` array. CI validates both the
-//!   committed files and freshly generated ones via the
-//!   `bench_validate` binary.
+//! - [`validate_bench`] enforces the bench envelope a points file
+//!   satisfies: a `bench` name, a `scale`, and a non-empty homogeneous
+//!   `points` array. `um-sweep` checks its `--json` output with it
+//!   before writing.
 //!
 //! The model is deliberately tiny (no serde in the dependency tree):
 //! numbers are `f64`, strings support the standard single-character
@@ -385,7 +381,7 @@ impl Parser<'_> {
     }
 }
 
-/// Checks the shared `BENCH_*.json` envelope:
+/// Checks the bench envelope:
 ///
 /// - the document is an object with a non-empty string `bench` and a
 ///   `scale` of `"quick"` or `"full"`;
@@ -443,17 +439,6 @@ pub fn validate_bench(doc: &Json) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Parses and validates one `BENCH_*.json` document.
-///
-/// # Errors
-///
-/// Returns the parse error or the first schema violation.
-pub fn validate_bench_str(text: &str) -> Result<Json, String> {
-    let doc = Json::parse(text)?;
-    validate_bench(&doc)?;
-    Ok(doc)
 }
 
 #[cfg(test)]
@@ -550,7 +535,7 @@ mod tests {
     fn validator_accepts_the_envelope() {
         assert_eq!(validate_bench(&sample()), Ok(()));
         let text = sample().render();
-        assert!(validate_bench_str(&text).is_ok());
+        assert_eq!(validate_bench(&Json::parse(&text).expect("parses")), Ok(()));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! fully-specified point list, evaluates every point through the
 //! deterministic `UM_THREADS` worker pool (results are bit-identical at
 //! any value), prints the legacy-style text table, and — for grid
-//! scenarios — emits a `BENCH_*.json` document that passes
-//! `bench_validate`.
+//! scenarios — emits a benchjson points document, checked against
+//! [`um_bench::benchjson::validate_bench`] before it is written.
 //!
 //! ```text
 //! um-sweep                          # run the built-in sweep_default grid

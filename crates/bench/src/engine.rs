@@ -1,5 +1,5 @@
-//! The fig7-pattern event workload shared by the `engine` Criterion bench
-//! and the `bench_engine` emitter (`BENCH_engine.json`).
+//! The fig7-pattern event workload the benchmark's `queue.ns_per_event`
+//! layer replays (`crates/bench/um_perf/src/layers.rs`).
 //!
 //! The workload replays the event-queue traffic a Figure 7 run generates,
 //! without the rest of the system simulator: every Poisson arrival over the
@@ -7,15 +7,9 @@
 //! each delivered event spawns a short near-future follow-up chain standing
 //! in for the Enqueue → SegmentDone/Unblock → CoreFree cascade a request
 //! produces. That shape — a deep backlog of far-out arrivals with hot
-//! near-term chains racing through it — is precisely where the old
-//! `BinaryHeap` paid `O(log n)` per operation against the full backlog and
-//! the calendar queue pays `O(1)`.
-//!
-//! Both engines are driven through the same [`Engine`] trait so the bench
-//! and the emitter cannot accidentally measure different traffic, and every
-//! run returns a checksum that must agree across engines.
+//! near-term chains racing through it — is what the calendar queue is
+//! built for.
 
-use um_sim::baseline::HeapQueue;
 use um_sim::{Cycles, EventQueue, Frequency};
 use um_workload::PoissonArrivals;
 
@@ -23,36 +17,6 @@ use um_workload::PoissonArrivals;
 /// Enqueue → per-segment SegmentDone/Unblock → CoreFree cascade (the
 /// social-mix services in Figure 7 run multiple segments per request).
 pub const CHAIN_DEPTH: u64 = 8;
-
-/// The fig7 load axis, requests per second per server.
-pub const FIG7_LOADS: [f64; 4] = [1_000.0, 5_000.0, 10_000.0, 50_000.0];
-
-/// The minimal queue surface the workload needs, implemented by both the
-/// calendar-queue [`EventQueue`] and the reference [`HeapQueue`].
-pub trait Engine {
-    /// Schedules `event` at absolute time `at`.
-    fn schedule_at(&mut self, at: Cycles, event: u64);
-    /// Delivers the next event in `(time, seq)` order.
-    fn pop(&mut self) -> Option<(Cycles, u64)>;
-}
-
-impl Engine for EventQueue<u64> {
-    fn schedule_at(&mut self, at: Cycles, event: u64) {
-        EventQueue::schedule_at(self, at, event);
-    }
-    fn pop(&mut self) -> Option<(Cycles, u64)> {
-        EventQueue::pop(self)
-    }
-}
-
-impl Engine for HeapQueue<u64> {
-    fn schedule_at(&mut self, at: Cycles, event: u64) {
-        HeapQueue::schedule_at(self, at, event);
-    }
-    fn pop(&mut self) -> Option<(Cycles, u64)> {
-        HeapQueue::pop(self)
-    }
-}
 
 /// One fig7-shaped event trace: the pre-computed arrival schedule for a
 /// load point, in cycles at the paper's 2 GHz manycore clock.
@@ -62,22 +26,13 @@ pub struct Workload {
     /// server, concatenated server-by-server (unsorted overall) — exactly
     /// the order `SystemSim::new` pre-schedules them.
     pub arrivals: Vec<u64>,
-    /// Requests per second per server this trace models.
-    pub rps: f64,
-    /// Servers in the fleet (the committed Figure 7 runs use 1; cluster
-    /// sweeps — ROADMAP open item 1 — fan the same pattern out).
-    pub servers: usize,
 }
 
 impl Workload {
-    /// Builds the arrival schedule for one fig7 load point.
-    ///
-    /// `horizon_us` is the arrival window (the committed Figure 7 runs use
-    /// 200 000 µs; the CI smoke mode shrinks it). `servers` merges that
-    /// many independent per-server streams into one queue, which is how
-    /// the system simulator schedules a cluster — the pending-event
-    /// backlog, and with it the `BinaryHeap` baseline's `O(log n)` cost,
-    /// grows with the fleet.
+    /// Builds the arrival schedule for one fig7 load point: `servers`
+    /// independent per-server Poisson streams at `rps` over `horizon_us`,
+    /// merged into one queue the way the system simulator schedules a
+    /// cluster, so the pending-event backlog grows with the fleet.
     pub fn fig7(rps: f64, horizon_us: f64, servers: usize, seed: u64) -> Self {
         let freq = Frequency::ghz(2.0);
         let mut arrivals = Vec::new();
@@ -89,25 +44,17 @@ impl Workload {
                     .map(|t| Cycles::from_micros(t, freq).raw()),
             );
         }
-        Workload {
-            arrivals,
-            rps,
-            servers,
-        }
-    }
-
-    /// Total events one replay delivers: every arrival plus its chain.
-    pub fn events_per_replay(&self) -> u64 {
-        self.arrivals.len() as u64 * (1 + CHAIN_DEPTH)
+        Workload { arrivals }
     }
 }
 
-/// Outcome of one replay: must be identical across engines.
+/// Outcome of one replay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Replay {
     /// Events delivered.
     pub events: u64,
-    /// Order-sensitive digest of the `(time, event)` delivery stream.
+    /// Order-sensitive digest of the `(time, event)` delivery stream, so
+    /// the pop loop's work is observable.
     pub checksum: u64,
 }
 
@@ -117,7 +64,7 @@ pub struct Replay {
 /// Chain hops are a deterministic hash of the event id, spanning the
 /// sub-microsecond latencies the system simulator schedules (1–4096 cycles)
 /// with an occasional longer timer-like hop.
-pub fn replay<Q: Engine>(q: &mut Q, workload: &Workload) -> Replay {
+pub fn replay(q: &mut EventQueue<u64>, workload: &Workload) -> Replay {
     // Event encoding: id << 8 | remaining chain depth.
     for (id, &at) in workload.arrivals.iter().enumerate() {
         q.schedule_at(Cycles::new(at), (id as u64) << 8 | CHAIN_DEPTH);
@@ -145,26 +92,6 @@ pub fn replay<Q: Engine>(q: &mut Q, workload: &Workload) -> Replay {
     Replay { events, checksum }
 }
 
-/// Steady-state churn at constant backlog: pops one event and reschedules
-/// it a short deterministic hop out, `steps` times, without shrinking the
-/// pending population. This isolates the per-operation cost at a given
-/// backlog depth — the quantity that separates the engines — so Criterion
-/// can sample deep-fleet points without paying for a full replay per
-/// iteration. Returns an order-sensitive checksum (identical across
-/// engines driven from the same starting queue).
-pub fn churn<Q: Engine>(q: &mut Q, steps: u64) -> u64 {
-    let mut checksum = 0u64;
-    for _ in 0..steps {
-        let Some((now, event)) = q.pop() else { break };
-        checksum = checksum
-            .rotate_left(7)
-            .wrapping_add(now.raw() ^ event.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let hop = splitmix(event ^ checksum) % 4_096 + 1;
-        q.schedule_at(Cycles::new(now.raw() + hop), event);
-    }
-    checksum
-}
-
 /// SplitMix64 finalizer: cheap, deterministic per-event hash.
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -178,13 +105,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_engines_deliver_the_same_stream() {
+    fn replay_delivers_every_arrival_and_its_chain() {
         let w = Workload::fig7(10_000.0, 5_000.0, 2, 42);
         assert!(!w.arrivals.is_empty(), "horizon long enough for arrivals");
-        let calendar = replay(&mut EventQueue::new(), &w);
-        let heap = replay(&mut HeapQueue::new(), &w);
-        assert_eq!(calendar, heap);
-        assert_eq!(calendar.events, w.events_per_replay());
+        let first = replay(&mut EventQueue::new(), &w);
+        assert_eq!(first.events, w.arrivals.len() as u64 * (1 + CHAIN_DEPTH));
+        assert_eq!(replay(&mut EventQueue::new(), &w), first);
     }
 
     #[test]
@@ -194,21 +120,6 @@ mod tests {
         let c = Workload::fig7(5_000.0, 2_000.0, 1, 8);
         assert_eq!(a.arrivals, b.arrivals);
         assert_ne!(a.arrivals, c.arrivals, "seed changes the trace");
-    }
-
-    #[test]
-    fn churn_is_engine_independent_and_population_preserving() {
-        let w = Workload::fig7(10_000.0, 5_000.0, 2, 42);
-        let mut cal = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        for (id, &at) in w.arrivals.iter().enumerate() {
-            cal.schedule_at(Cycles::new(at), id as u64);
-            heap.schedule_at(Cycles::new(at), id as u64);
-        }
-        let before = cal.len();
-        assert_eq!(churn(&mut cal, 1_000), churn(&mut heap, 1_000));
-        assert_eq!(cal.len(), before, "churn keeps the backlog constant");
-        assert_eq!(cal.len(), heap.len());
     }
 
     #[test]

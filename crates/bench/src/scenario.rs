@@ -1171,7 +1171,7 @@ pub struct ScenarioOutput {
     /// The rendered table + prose, exactly as the binary prints it.
     pub text: String,
     /// Grid scenarios: the benchjson `points` array (wrap it in the
-    /// `BENCH_*.json` envelope with a `bench` name and `scale` label).
+    /// bench envelope with a `bench` name and `scale` label).
     pub points: Option<Json>,
 }
 

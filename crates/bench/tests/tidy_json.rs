@@ -1,11 +1,11 @@
 //! Pins `um-tidy --json`'s contract with `um_bench::benchjson`: the lint
 //! gate is zero-dependency, so it carries its own tiny JSON emitter —
 //! these tests are what keep that emitter byte-compatible with the
-//! benchjson document model the committed `BENCH_*.json` files use.
+//! benchjson document model the rest of the repo's JSON uses.
 
 use std::path::Path;
 
-use um_bench::benchjson::{validate_bench_str, Json};
+use um_bench::benchjson::Json;
 
 fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -14,11 +14,12 @@ fn workspace_root() -> &'static Path {
         .expect("workspace root")
 }
 
-/// The live tree's report must round-trip byte-exactly: benchjson's
-/// parse-then-render is the identity on um-tidy's output.
+/// The live tree's report must round-trip byte-exactly (benchjson's
+/// parse-then-render is the identity on um-tidy's output) and be
+/// internally consistent.
 #[test]
 fn live_report_roundtrips_through_benchjson() {
-    let report = um_tidy::workspace_report(workspace_root(), 2).expect("workspace scan");
+    let report = um_tidy::workspace_report(workspace_root()).expect("workspace scan");
     let rendered = um_tidy::render_json(&report);
     let doc = Json::parse(&rendered).expect("um-tidy --json must parse as benchjson");
     assert_eq!(
@@ -30,6 +31,24 @@ fn live_report_roundtrips_through_benchjson() {
     assert_eq!(
         doc.get("rules").and_then(Json::as_num),
         Some(um_tidy::Rule::COUNT as f64)
+    );
+    let violations = doc.get("violations").and_then(Json::as_arr).expect("array");
+    assert_eq!(
+        doc.get("violation_count").and_then(Json::as_num),
+        Some(violations.len() as f64),
+        "`violation_count` disagrees with `violations`"
+    );
+    let debt = doc.get("debt").and_then(Json::as_obj).expect("debt object");
+    assert_eq!(
+        debt.len(),
+        um_tidy::Rule::COUNT,
+        "one `debt` entry per rule"
+    );
+    let ledger_total: f64 = debt.iter().filter_map(|(_, v)| v.as_num()).sum();
+    assert_eq!(
+        doc.get("total_debt").and_then(Json::as_num),
+        Some(ledger_total),
+        "`total_debt` disagrees with the per-rule `debt` entries"
     );
 }
 
@@ -57,23 +76,4 @@ fn violating_report_roundtrips_through_benchjson() {
     assert_eq!(doc.render(), rendered);
     let violations = doc.get("violations").and_then(Json::as_arr).expect("array");
     assert_eq!(violations.len(), report.diagnostics.len());
-}
-
-/// The committed lint-throughput trajectory must satisfy the shared
-/// `BENCH_*.json` envelope, like every other committed bench file.
-#[test]
-fn committed_bench_tidy_is_a_valid_envelope() {
-    let path = workspace_root().join("BENCH_tidy.json");
-    let text = std::fs::read_to_string(&path).expect("BENCH_tidy.json must be committed");
-    let doc = validate_bench_str(&text).expect("BENCH_tidy.json must validate");
-    assert_eq!(doc.get("bench").and_then(Json::as_str), Some("tidy"));
-    assert_eq!(doc.get("scale").and_then(Json::as_str), Some("full"));
-    let points = doc.get("points").and_then(Json::as_arr).expect("points");
-    assert!(
-        points.iter().all(|p| p
-            .get("lines_per_sec")
-            .and_then(Json::as_num)
-            .is_some_and(|v| v > 0.0)),
-        "every point carries a positive lines/sec rate"
-    );
 }

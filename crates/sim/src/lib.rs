@@ -46,8 +46,6 @@ pub mod sanitizer;
 mod time;
 pub mod trace;
 
-#[doc(hidden)]
-pub use queue::baseline;
 pub use queue::EventQueue;
 pub use time::{Cycles, Frequency};
 pub use trace::{Component, LatencyBreakdown, NullSink, Span, TraceSink};

@@ -11,8 +11,118 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use um_sim::baseline::HeapQueue;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use um_sim::{Cycles, EventQueue};
+
+/// The pre-calendar future-event list: a `BinaryHeap` ordered by
+/// `(time, seq)`, sharing `EventQueue`'s delivery contract. It is the
+/// model every test in this file checks the calendar queue against.
+#[derive(Clone, Debug)]
+struct HeapQueue<E> {
+    heap: BinaryHeap<Entry<E>>,
+    now: Cycles,
+    seq: u64,
+}
+
+#[derive(Clone, Debug)]
+struct Entry<E> {
+    time: Cycles,
+    seq: u64,
+    event: E,
+}
+
+// Min-heap by (time, seq): BinaryHeap is a max-heap, so invert.
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.seq == other.seq
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> HeapQueue<E> {
+    /// Creates an empty queue with the clock at zero.
+    fn new() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            now: Cycles::ZERO,
+            seq: 0,
+        }
+    }
+
+    /// The timestamp of the last popped event.
+    fn now(&self) -> Cycles {
+        self.now
+    }
+
+    /// Schedules `event` at the absolute time `at`.
+    fn schedule_at(&mut self, at: Cycles, event: E) {
+        assert!(at >= self.now, "scheduling into the past");
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Entry {
+            time: at,
+            seq,
+            event,
+        });
+    }
+
+    /// Removes and returns the earliest event.
+    fn pop(&mut self) -> Option<(Cycles, E)> {
+        let entry = self.heap.pop()?;
+        self.now = entry.time;
+        Some((entry.time, entry.event))
+    }
+
+    /// Timestamp of the next event without popping it.
+    fn peek_time(&self) -> Option<Cycles> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    /// Number of pending events.
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Whether no events are pending.
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Drops all pending events and resets the sequence counter,
+    /// keeping the clock (mirrors `EventQueue::clear`).
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
+    }
+}
+
+#[test]
+fn baseline_heap_matches_basic_contract() {
+    let mut q = HeapQueue::new();
+    q.schedule_at(Cycles::new(5), 'b');
+    q.schedule_at(Cycles::new(5), 'c');
+    q.schedule_at(Cycles::new(1), 'a');
+    assert_eq!(q.peek_time(), Some(Cycles::new(1)));
+    assert_eq!(q.pop(), Some((Cycles::new(1), 'a')));
+    assert_eq!(q.pop(), Some((Cycles::new(5), 'b')));
+    assert_eq!(q.pop(), Some((Cycles::new(5), 'c')));
+    assert_eq!(q.pop(), None);
+    assert!(q.is_empty());
+}
 
 /// One scripted operation applied to both queues.
 #[derive(Clone, Debug)]

@@ -34,15 +34,14 @@
 //! collects every string tag passed to `um_sim::rng::stream` /
 //! `stream_indexed` across the tree and flags the same tag reused by
 //! distinct files (two components sharing a tag draw *identical* random
-//! streams). Files are scanned by a deterministic parallel worker pool;
-//! diagnostics and the debt ledger are byte-stable regardless of thread
-//! count or directory iteration order because every output is keyed on
-//! the sorted workspace-relative path.
+//! streams). Diagnostics and the debt ledger are byte-stable regardless of
+//! directory iteration order because every output is keyed on the sorted
+//! workspace-relative path.
 //!
 //! `um-tidy --json` emits the full report as JSON whose rendering
 //! matches `um_bench::benchjson` byte for byte (parse → render is the
 //! identity), so the lint gate's output round-trips through the same
-//! document model as the committed `BENCH_*.json` trajectories.
+//! document model as the rest of the repo's JSON.
 //!
 //! # Rules
 //!
@@ -65,8 +64,6 @@ pub mod lexer;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use lexer::{LineView, Tok};
 
@@ -85,7 +82,7 @@ pub enum Rule {
     CycleFloatCmp,
     /// `FaultPlan::from_events` outside `um-sim` (bypasses seeded builder).
     RawFaultPlan,
-    /// `BinaryHeap` for sim state outside the queue module.
+    /// `BinaryHeap` for sim state.
     RawBinaryHeap,
     /// `dbg!` / `todo!` / `unimplemented!` in non-test code.
     DebugMacro,
@@ -280,7 +277,7 @@ impl Rule {
             Rule::CycleTruncCast => "non-test code",
             Rule::CycleFloatCmp => "non-test code",
             Rule::RawFaultPlan => "outside `um-sim`, non-test code",
-            Rule::RawBinaryHeap => "sim-state crates outside the queue module, non-test code",
+            Rule::RawBinaryHeap => "sim-state crates, non-test code",
             Rule::DebugMacro => "non-test code",
             Rule::IgnoreWithoutReason => "everywhere",
             Rule::UnsafeWithoutSafety => "everywhere",
@@ -391,8 +388,8 @@ impl FileContext {
     }
 
     /// Wall-clock and entropy rules run everywhere except `um-bench`
-    /// (Criterion interop), `um-serve` (throughput bench timing) and
-    /// this crate.
+    /// (benchmark timing), `um-serve` (outside the determinism boundary)
+    /// and this crate.
     fn bans_wall_clock(&self) -> bool {
         !matches!(&self.krate, Some(k) if k == "bench" || k == "tidy" || k == "serve")
     }
@@ -710,14 +707,10 @@ fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
         }
 
         // -- event-queue provenance -------------------------------------
-        // The calendar queue in crates/sim/src/queue.rs is the one place
-        // allowed to own a future-event structure (it also hosts the
-        // BinaryHeap reference baseline for differential tests).
-        if ctx.is_sim_state_crate()
-            && !in_test
-            && path != "crates/sim/src/queue.rs"
-            && contains_word(cleaned, "BinaryHeap")
-        {
+        // The calendar queue in crates/sim/src/queue.rs is the one
+        // future-event structure; its BinaryHeap reference model lives in
+        // the sim crate's tests.
+        if ctx.is_sim_state_crate() && !in_test && contains_word(cleaned, "BinaryHeap") {
             firings.push((
                 Rule::RawBinaryHeap,
                 "raw BinaryHeap for sim state: time-ordered event state must go through \
@@ -1104,68 +1097,25 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Runs the whole pass over a workspace root with `jobs` parallel file
-/// scanners, returning the full report.
-///
-/// Parallelism never changes the output: files are claimed from a sorted
-/// list, results land in their list slot, and aggregation walks slots in
-/// order — `jobs = 1` and `jobs = 64` produce identical bytes.
+/// Runs the whole pass over a workspace root, returning the full report.
+/// Files are analyzed in sorted order, so the output is byte-stable.
 ///
 /// # Errors
 ///
 /// Propagates the first directory-walk or file-read error.
-pub fn workspace_report(root: &Path, jobs: usize) -> std::io::Result<Report> {
-    let entries: Vec<(PathBuf, String)> = collect_rs_files(root)?
-        .into_iter()
-        .map(|file| {
-            let rel = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .replace('\\', "/");
-            (file, rel)
-        })
-        .collect();
-
-    let jobs = jobs.max(1).min(entries.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<std::io::Result<FileAnalysis>>>> =
-        entries.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((file, rel)) = entries.get(idx) else {
-                    break;
-                };
-                let result =
-                    std::fs::read_to_string(file).map(|source| analyze_source(rel, &source));
-                *slots[idx].lock().expect("scanner slot poisoned") = Some(result);
-            });
-        }
-    });
-
-    let mut analyses = Vec::with_capacity(entries.len());
-    for ((_, rel), slot) in entries.iter().zip(slots) {
-        let result = slot
-            .into_inner()
-            .expect("scanner slot poisoned")
-            .expect("every slot filled");
-        analyses.push((rel.clone(), result?));
+pub fn workspace_report(root: &Path) -> std::io::Result<Report> {
+    let mut analyses = Vec::new();
+    for file in collect_rs_files(root)? {
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let source = std::fs::read_to_string(&file)?;
+        let analysis = analyze_source(&rel, &source);
+        analyses.push((rel, analysis));
     }
     Ok(aggregate(analyses))
-}
-
-/// Runs the whole pass over a workspace root, returning all diagnostics
-/// sorted by path and line (compatibility wrapper over
-/// [`workspace_report`] with a single scanner thread).
-///
-/// # Errors
-///
-/// Propagates the first directory-walk or file-read error.
-pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    Ok(workspace_report(root, 1)?.diagnostics)
 }
 
 /// Renders the committed debt ledger (`results/tidy_debt.txt`): one row
@@ -1195,8 +1145,8 @@ pub fn render_debt(report: &Report) -> String {
 /// Renders the report as JSON whose text round-trips *byte-exactly*
 /// through `um_bench::benchjson` (`Json::parse(s).render() == s`): same
 /// 2-space indentation, integer formatting and string escaping. The lint
-/// gate stays zero-dependency while CI validates its output with the same
-/// tooling as the committed `BENCH_*.json` files.
+/// gate stays zero-dependency while um-bench's tests check its output with
+/// the same document model as the rest of the repo's JSON.
 pub fn render_json(report: &Report) -> String {
     use jsonfmt::J;
     let violations = report
@@ -1488,21 +1438,19 @@ mod tests {
     }
 
     #[test]
-    fn raw_binary_heap_flagged_outside_queue_module() {
+    fn raw_binary_heap_flagged_in_sim_state_code() {
         let src = "use std::collections::BinaryHeap;\n";
-        assert_eq!(
-            check_source("crates/core/src/x.rs", src)[0].rule,
-            Rule::RawBinaryHeap
-        );
-        assert_eq!(
-            check_source("crates/sim/src/fault.rs", src)[0].rule,
-            Rule::RawBinaryHeap
-        );
-        // The queue module owns the future-event structure (and the heap
-        // baseline); um-bench measures the baseline; tests model with it.
-        assert!(check_source("crates/sim/src/queue.rs", src).is_empty());
-        assert!(check_source("crates/bench/benches/engine.rs", src).is_empty());
+        for path in [
+            "crates/core/src/x.rs",
+            "crates/sim/src/fault.rs",
+            "crates/sim/src/queue.rs",
+        ] {
+            assert_eq!(check_source(path, src)[0].rule, Rule::RawBinaryHeap);
+        }
+        // The differential tests model the calendar queue with a heap;
+        // um-bench is outside the sim-state fence.
         assert!(check_source("crates/sim/tests/queue_model.rs", src).is_empty());
+        assert!(check_source("crates/bench/src/engine.rs", src).is_empty());
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! cargo run -p um-tidy -- --debt           # allow-debt ledger for results/tidy_debt.txt
 //! cargo run -p um-tidy -- --rule-table     # markdown rule table embedded in DESIGN.md
 //! cargo run -p um-tidy -- --list-rules
-//! cargo run -p um-tidy -- --jobs 4 <root>  # parallel scan of an explicit root
+//! cargo run -p um-tidy -- <root>           # check an explicit workspace root
 //! ```
 //!
 //! Exits 0 when the tree is clean, 1 when any rule fires, 2 on usage or
 //! I/O errors. `--debt`, `--rule-table` and `--list-rules` always exit 0.
-//! `--jobs N` never changes the output, only the wall time.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -25,26 +24,20 @@ enum Mode {
 }
 
 fn usage() {
-    eprintln!("usage: um-tidy [--json | --debt | --rule-table | --list-rules] [--jobs N] [workspace-root]");
+    eprintln!("usage: um-tidy [--json | --debt | --rule-table | --list-rules] [workspace-root]");
     eprintln!("checks every workspace .rs file against the determinism/invariant rules");
     eprintln!("  (no flag)     print diagnostics; exit 1 if any");
     eprintln!("  --json        full report (diagnostics + debt) as benchjson-compatible JSON");
     eprintln!("  --debt        allow-debt ledger; redirect to results/tidy_debt.txt");
     eprintln!("  --rule-table  markdown rule table; DESIGN.md embeds this verbatim");
     eprintln!("  --list-rules  rule ids with one-line summaries");
-    eprintln!("  --jobs N      parallel file scanners (output is byte-identical at any N)");
 }
 
 fn main() -> ExitCode {
     let mut mode = Mode::Check;
-    let mut jobs: usize = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
     let mut root: Option<PathBuf> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--list-rules" => {
                 for rule in Rule::ALL {
@@ -58,13 +51,6 @@ fn main() -> ExitCode {
             }
             "--json" => mode = Mode::Json,
             "--debt" => mode = Mode::Debt,
-            "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => jobs = n,
-                _ => {
-                    eprintln!("um-tidy: --jobs needs a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;
@@ -94,7 +80,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let report = match workspace_report(&root, jobs) {
+    let report = match workspace_report(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("um-tidy: {e}");
