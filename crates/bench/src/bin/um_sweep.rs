@@ -1,27 +1,29 @@
-//! `um-sweep`: the generic scenario sweep driver.
+//! `um-sweep`: the one driver behind every committed result.
 //!
-//! Expands a declarative [`um_bench::scenario::Scenario`] grid into its
-//! fully-specified point list, evaluates every point through the
-//! deterministic `UM_THREADS` worker pool (results are bit-identical at
-//! any value), prints the legacy-style text table, and — for grid
-//! scenarios — emits a benchjson points document, checked against
+//! `um-sweep NAME` regenerates `results/NAME.txt` from its entry in the
+//! [`um_bench::figures`] table; registry-backed entries expand their
+//! declarative [`um_bench::scenario::Scenario`] into a fully-specified
+//! point list and evaluate it through the deterministic `UM_THREADS`
+//! worker pool (results are bit-identical at any value). Grid scenarios
+//! can also emit a benchjson points document, checked against
 //! [`um_bench::benchjson::validate_bench`] before it is written.
 //!
 //! ```text
 //! um-sweep                          # run the built-in sweep_default grid
-//! um-sweep NAME                     # run a registry scenario by name
+//! um-sweep NAME                     # regenerate results/NAME.txt
 //! um-sweep --scenario FILE          # run a scenario from a JSON file
 //! um-sweep --json PATH              # also write the benchjson document
 //! um-sweep --csv PATH               # also write the points as CSV
-//! um-sweep --list                   # list the registry
+//! um-sweep --list                   # name every result
 //! um-sweep --dump-registry DIR      # write every registry scenario to DIR
 //! ```
 //!
-//! `UM_SCALE=quick` / `UM_SEED` apply to whichever scenario runs, the
-//! same way they do for the figure binaries.
+//! `UM_SCALE=quick|full` and `UM_SEED` apply to whichever result runs;
+//! an unknown value is refused. A failed `validate` self-check exits 1.
 
 use um_bench::benchjson::{obj, validate_bench, Json};
-use um_bench::{sanitizer_check, scenario};
+use um_bench::figures::{self, Render};
+use um_bench::{sanitizer_check, scenario, EnvScale};
 
 fn usage() -> ! {
     eprintln!(
@@ -31,17 +33,10 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn kind_label(s: &scenario::Scenario) -> &'static str {
-    match &s.kind {
-        scenario::ScenarioKind::Fig7 { .. } => "fig7",
-        scenario::ScenarioKind::Breakdown { .. } => "breakdown",
-        scenario::ScenarioKind::FaultTail { .. } => "fault-tail",
-        scenario::ScenarioKind::ClusterTail { .. } => "cluster-tail",
-        scenario::ScenarioKind::MachineCompare { .. } => "machine-compare",
-        scenario::ScenarioKind::Autoscale { .. } => "autoscale",
-        scenario::ScenarioKind::SrptAblation { .. } => "srpt-ablation",
-        scenario::ScenarioKind::Grid(_) => "grid",
-    }
+/// Prints `msg` and exits 2, the usage-error status.
+fn refuse(msg: &str) -> ! {
+    eprintln!("um-sweep: {msg}");
+    std::process::exit(2);
 }
 
 /// One CSV cell: numbers exactly as benchjson renders them (so the CSV
@@ -96,16 +91,15 @@ fn points_to_csv(points: &Json) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scenario_file: Option<String> = None;
-    let mut registry_name: Option<String> = None;
+    let mut name: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut csv_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--list" => {
-                for s in scenario::registry::all() {
-                    let points = s.expand().expect("registry scenarios are valid").len();
-                    println!("{:<16} {:<12} {points} points", s.name, kind_label(&s));
+                for e in figures::ALL {
+                    println!("{}", e.name);
                 }
                 return;
             }
@@ -122,30 +116,40 @@ fn main() {
             "--scenario" => scenario_file = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--json" => json_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--csv" => csv_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            name if !name.starts_with('-') && registry_name.is_none() => {
-                registry_name = Some(name.to_string());
-            }
+            arg if !arg.starts_with('-') && name.is_none() => name = Some(arg.to_string()),
             _ => usage(),
         }
     }
-    if scenario_file.is_some() && registry_name.is_some() {
+    if scenario_file.is_some() && name.is_some() {
         usage();
     }
 
+    let env = EnvScale::from_env().unwrap_or_else(|e| refuse(&e));
     sanitizer_check();
-    let mut s = match (&scenario_file, &registry_name) {
+    let mut s = match (&scenario_file, &name) {
         (Some(path), _) => {
             let text =
                 std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
             scenario::Scenario::from_json_text(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
         }
-        (None, Some(name)) => scenario::registry::by_name(name).unwrap_or_else(|| {
-            eprintln!("um-sweep: no registry scenario named '{name}' (see --list)");
-            std::process::exit(2);
-        }),
+        (None, Some(name)) => {
+            let entry = figures::by_name(name)
+                .unwrap_or_else(|| refuse(&format!("no result named '{name}' (see --list)")));
+            if json_path.is_none() && csv_path.is_none() {
+                let (text, passed) = entry.run(env);
+                print!("{text}");
+                std::process::exit(if passed { 0 } else { 1 });
+            }
+            if !matches!(entry.render, Render::Scenario) {
+                refuse(&format!(
+                    "{name}: only grid scenarios emit benchjson points"
+                ));
+            }
+            scenario::registry::by_name(name).expect("scenario entries name registry scenarios")
+        }
         (None, None) => scenario::registry::sweep_default(),
     };
-    scenario::apply_env(&mut s);
+    env.apply(&mut s);
     let out = scenario::run(&s).unwrap_or_else(|e| panic!("{}: {e}", s.name));
     print!("{}", out.text);
 
@@ -154,13 +158,9 @@ fn main() {
             .points
             .unwrap_or_else(|| panic!("{}: only grid scenarios emit benchjson points", s.name));
         if let Some(path) = json_path {
-            let scale = match std::env::var("UM_SCALE").ok().as_deref() {
-                Some("quick") => "quick",
-                _ => "full",
-            };
             let doc = obj(vec![
                 ("bench", Json::Str(s.name.clone())),
-                ("scale", Json::Str(scale.to_string())),
+                ("scale", Json::Str(env.label().to_string())),
                 ("points", points.clone()),
             ]);
             validate_bench(&doc).expect("sweep output satisfies the bench envelope");

@@ -1,15 +1,17 @@
-//! Shared plumbing for the figure/table regeneration binaries.
-//!
-//! Every binary regenerates one of the paper's tables or figures:
+//! The experiment harness: every committed `results/<name>.txt` comes
+//! from one entry of the [`figures`] table, regenerated by the one
+//! binary, `um-sweep`:
 //!
 //! ```text
-//! cargo run --release -p um-bench --bin fig14
+//! cargo run --release -p um-bench -- fig14
+//! cargo run --release -p um-bench -- --list
 //! ```
 //!
-//! Binaries honour three environment variables:
+//! The driver honours four environment variables:
 //!
 //! - `UM_SCALE`: `quick` (seconds per figure, noisier) or `full`
-//!   (default; the scale used for EXPERIMENTS.md).
+//!   (default; the scale used for EXPERIMENTS.md). Anything else is
+//!   refused.
 //! - `UM_SEED`: master seed (default 42).
 //! - `UM_THREADS`: sweep worker-pool size (default: all cores; `1`
 //!   forces serial execution). Results are bit-identical at any value.
@@ -21,67 +23,126 @@
 use umanycore::experiments::cluster::ClusterScale;
 use umanycore::experiments::Scale;
 
+use crate::scenario::{Scenario, ScenarioKind};
+
 pub mod benchjson;
 pub mod engine;
+pub mod figures;
 pub mod scenario;
 
-/// Reads the run scale from `UM_SCALE`/`UM_SEED`.
-pub fn scale_from_env() -> Scale {
-    scale_from_values(
-        std::env::var("UM_SCALE").ok().as_deref(),
-        std::env::var("UM_SEED").ok().as_deref(),
-    )
+/// The run scale `UM_SCALE` and `UM_SEED` select. [`EnvScale::from_env`]
+/// is the one place either variable is read; every figure and scenario
+/// derives its scale from the value it returns.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EnvScale {
+    /// `UM_SCALE=quick`: reduced horizons (and, for the rack sweeps, a
+    /// smaller rack). Unset or `full` selects the figure scale.
+    pub quick: bool,
+    /// `UM_SEED`: overrides the master seed (default 42).
+    pub seed: Option<u64>,
 }
 
-/// [`scale_from_env`] with the environment values passed explicitly, so
-/// tests can exercise the parsing without depending on (or mutating)
-/// process-global state.
-///
-/// # Panics
-///
-/// Panics when `seed` is set but not an integer.
-pub fn scale_from_values(scale: Option<&str>, seed: Option<&str>) -> Scale {
-    let mut out = match scale {
-        Some("quick") => Scale::quick(),
-        _ => Scale::default(),
-    };
-    if let Some(seed) = seed {
-        out.seed = seed.parse().expect("UM_SEED must be an integer");
+impl EnvScale {
+    /// Reads `UM_SCALE`/`UM_SEED` from the process environment.
+    ///
+    /// # Errors
+    ///
+    /// See [`EnvScale::from_values`].
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_values(
+            std::env::var("UM_SCALE").ok().as_deref(),
+            std::env::var("UM_SEED").ok().as_deref(),
+        )
     }
-    out
-}
 
-/// Reads the rack scale from `UM_SCALE`/`UM_SEED` (the cluster
-/// binaries' analogue of [`scale_from_env`]).
-pub fn cluster_scale_from_env() -> ClusterScale {
-    cluster_scale_from_values(
-        std::env::var("UM_SCALE").ok().as_deref(),
-        std::env::var("UM_SEED").ok().as_deref(),
-    )
-}
-
-/// [`cluster_scale_from_env`] with the environment values passed
-/// explicitly, for tests.
-///
-/// # Panics
-///
-/// Panics when `seed` is set but not an integer.
-pub fn cluster_scale_from_values(scale: Option<&str>, seed: Option<&str>) -> ClusterScale {
-    let mut out = match scale {
-        Some("quick") => ClusterScale::quick(),
-        _ => ClusterScale::full(),
-    };
-    if let Some(seed) = seed {
-        out.seed = seed.parse().expect("UM_SEED must be an integer");
+    /// [`EnvScale::from_env`] with the values passed explicitly, so tests
+    /// can exercise the parsing without touching process-global state.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the variable when `scale` is neither
+    /// `quick` nor `full`, or `seed` is not an integer.
+    pub fn from_values(scale: Option<&str>, seed: Option<&str>) -> Result<Self, String> {
+        let quick = match scale {
+            None | Some("full") => false,
+            Some("quick") => true,
+            Some(other) => return Err(format!("UM_SCALE must be quick|full, got `{other}`")),
+        };
+        let seed = seed
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| format!("UM_SEED must be an integer, got `{s}`"))
+            })
+            .transpose()?;
+        Ok(Self { quick, seed })
     }
-    out
+
+    /// `quick` or `full`: the `scale` label of um-sweep's benchjson
+    /// document.
+    pub fn label(self) -> &'static str {
+        if self.quick {
+            "quick"
+        } else {
+            "full"
+        }
+    }
+
+    /// The single-node experiment scale.
+    pub fn scale(self) -> Scale {
+        let base = if self.quick {
+            Scale::quick()
+        } else {
+            Scale::default()
+        };
+        Scale {
+            seed: self.seed.unwrap_or(base.seed),
+            ..base
+        }
+    }
+
+    /// The rack experiment scale.
+    pub fn cluster(self) -> ClusterScale {
+        let base = if self.quick {
+            ClusterScale::quick()
+        } else {
+            ClusterScale::full()
+        };
+        ClusterScale {
+            seed: self.seed.unwrap_or(base.seed),
+            ..base
+        }
+    }
+
+    /// Applies the selection to a scenario: `quick` takes the horizons
+    /// of [`EnvScale::scale`] (rack kinds: [`EnvScale::cluster`], and the
+    /// cluster-tail kind also its rack width and load list), and the seed
+    /// replaces the master seed.
+    pub fn apply(self, s: &mut Scenario) {
+        if self.quick {
+            let rack = ClusterScale::quick();
+            let (horizon_us, warmup_us) = match &mut s.kind {
+                ScenarioKind::ClusterTail { loads } => {
+                    *loads = rack.loads;
+                    if let Some(c) = &mut s.cluster {
+                        c.nodes = rack.nodes;
+                    }
+                    (rack.horizon_us, rack.warmup_us)
+                }
+                ScenarioKind::Grid(g) if !g.nodes.is_empty() => (rack.horizon_us, rack.warmup_us),
+                _ => (Scale::quick().horizon_us, Scale::quick().warmup_us),
+            };
+            s.scale.horizon_us = horizon_us;
+            s.scale.warmup_us = warmup_us;
+        }
+        if let Some(seed) = self.seed {
+            s.scale.seed = seed;
+        }
+    }
 }
 
-/// Honours `UM_SANITIZER` without printing a figure header: announces
-/// the runtime checkers on stderr when they are compiled in, and refuses
-/// to run when they are requested but absent. Binaries whose stdout
-/// comes from [`scenario::run`] (which renders its own header) call this
-/// instead of [`banner`].
+/// Honours `UM_SANITIZER`: announces the runtime checkers on stderr when
+/// they are compiled in, and refuses to run when they are requested but
+/// absent.
 ///
 /// # Panics
 ///
@@ -98,20 +159,9 @@ pub fn sanitizer_check() {
     }
 }
 
-/// The standard figure header as a string (what [`banner`] prints).
+/// The standard figure header every result starts with.
 pub fn header_text(figure: &str, caption: &str) -> String {
     format!("== {figure} ==\n{caption}\n\n")
-}
-
-/// Prints the standard figure header, after honouring `UM_SANITIZER`.
-///
-/// # Panics
-///
-/// Panics when `UM_SANITIZER` requests the runtime checkers but the
-/// binary was built without the `sim-sanitizer` feature.
-pub fn banner(figure: &str, caption: &str) {
-    sanitizer_check();
-    print!("{}", header_text(figure, caption));
 }
 
 /// Resolves the `UM_SANITIZER` request against the compiled feature set:
@@ -138,23 +188,31 @@ pub fn sanitizer_status(var: Option<&str>, compiled: bool) -> Result<bool, Strin
 mod tests {
     use super::*;
 
+    fn env(scale: Option<&str>, seed: Option<&str>) -> EnvScale {
+        EnvScale::from_values(scale, seed).expect("valid values")
+    }
+
     #[test]
     fn default_scale_is_full() {
-        let s = scale_from_values(None, None);
-        assert_eq!(s, Scale::default());
-        assert!(s.horizon_us >= Scale::quick().horizon_us);
+        let s = env(None, None);
+        assert_eq!(s, env(Some("full"), None));
+        assert_eq!(s.label(), "full");
+        assert_eq!(s.scale(), Scale::default());
+        assert!(s.scale().horizon_us >= Scale::quick().horizon_us);
     }
 
     #[test]
     fn quick_scale_selected_by_value() {
-        assert_eq!(scale_from_values(Some("quick"), None), Scale::quick());
-        // Unknown values fall back to the full scale.
-        assert_eq!(scale_from_values(Some("huge"), None), Scale::default());
+        assert_eq!(env(Some("quick"), None).scale(), Scale::quick());
+        assert_eq!(env(Some("quick"), None).label(), "quick");
+        // A typo must not silently run the (minutes-long) full scale.
+        let err = EnvScale::from_values(Some("quik"), None).expect_err("unknown scale");
+        assert!(err.contains("quick|full") && err.contains("quik"), "{err}");
     }
 
     #[test]
     fn seed_override_applies() {
-        let s = scale_from_values(None, Some("7"));
+        let s = env(None, Some("7")).scale();
         assert_eq!(s.seed, 7);
         assert_eq!(
             Scale { seed: 42, ..s },
@@ -164,19 +222,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "UM_SEED must be an integer")]
     fn non_integer_seed_rejected() {
-        scale_from_values(None, Some("forty-two"));
+        let err = EnvScale::from_values(None, Some("forty-two")).expect_err("bad seed");
+        assert!(err.contains("UM_SEED must be an integer"), "{err}");
     }
 
     #[test]
     fn cluster_scale_parsing_mirrors_scale_parsing() {
-        assert_eq!(cluster_scale_from_values(None, None), ClusterScale::full());
-        assert_eq!(
-            cluster_scale_from_values(Some("quick"), None),
-            ClusterScale::quick()
-        );
-        let s = cluster_scale_from_values(Some("quick"), Some("9"));
+        assert_eq!(env(None, None).cluster(), ClusterScale::full());
+        assert_eq!(env(Some("quick"), None).cluster(), ClusterScale::quick());
+        let s = env(Some("quick"), Some("9")).cluster();
         assert_eq!(s.seed, 9);
         assert_eq!(ClusterScale { seed: 42, ..s }, ClusterScale::quick());
     }

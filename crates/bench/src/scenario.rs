@@ -1,22 +1,18 @@
 //! The declarative scenario layer: one serializable description of a
 //! whole experiment — machine, workload, fault plan, mitigation policy,
-//! cluster shape and scale — that expands into the exact same
-//! fully-specified config lists the figure binaries used to build
-//! inline.
+//! cluster shape and scale — that expands into a fully-specified config
+//! list.
 //!
 //! A [`Scenario`] round-trips through the zero-dependency
 //! [`crate::benchjson`] model (`to_json_text` / `from_json_text`), so
 //! experiments can be committed, diffed and replayed as data. The
 //! [`registry`] holds the named built-in scenarios behind the committed
-//! `results/` tables; the conformance tests assert that expanding a
-//! registry scenario reproduces the legacy inline construction
-//! field-for-field, and that [`run`] reproduces the committed text
+//! `results/` tables, and [`run`] reproduces each committed text
 //! byte-for-byte.
 //!
 //! Every expansion derives per-point seeds from the scenario's master
-//! seed the same way the legacy drivers did, and every run goes through
-//! the deterministic sweep runner — results are bit-identical at any
-//! `UM_THREADS`.
+//! seed, and every run goes through the deterministic sweep runner —
+//! results are bit-identical at any `UM_THREADS`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -49,48 +45,6 @@ const MAX_EXACT_INT: u64 = 1 << 53;
 // ---------------------------------------------------------------------
 // Scenario model
 // ---------------------------------------------------------------------
-
-/// Run scale: horizons, fleet width and the master seed every per-point
-/// seed derives from.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScaleSpec {
-    /// Arrival horizon per point, microseconds.
-    pub horizon_us: f64,
-    /// Warm-up cut-off, microseconds.
-    pub warmup_us: f64,
-    /// Servers per single-node point (cluster points size via
-    /// [`ClusterSpec::nodes`]).
-    pub servers: usize,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl ScaleSpec {
-    /// The figure-quality single-node scale ([`Scale::default`]).
-    pub fn full() -> Self {
-        Self::from_scale(Scale::default())
-    }
-
-    /// Converts an experiment [`Scale`].
-    pub fn from_scale(s: Scale) -> Self {
-        Self {
-            horizon_us: s.horizon_us,
-            warmup_us: s.warmup_us,
-            servers: s.servers,
-            seed: s.seed,
-        }
-    }
-
-    /// The experiment-layer [`Scale`] this spec describes.
-    pub fn to_scale(self) -> Scale {
-        Scale {
-            horizon_us: self.horizon_us,
-            warmup_us: self.warmup_us,
-            servers: self.servers,
-            seed: self.seed,
-        }
-    }
-}
 
 /// Which paper machine a [`MachineSpec`] starts from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -352,7 +306,7 @@ pub struct GridSpec {
     pub policies: Vec<NamedPolicy>,
 }
 
-/// What the scenario measures — one variant per converted figure binary
+/// What the scenario measures — one variant per registry-backed result
 /// plus the generic grid.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioKind {
@@ -398,7 +352,7 @@ pub enum ScenarioKind {
     Autoscale {
         /// Offered load, requests per second per server.
         rps: f64,
-        /// Arrival-horizon multiplier over [`ScaleSpec::horizon_us`], so
+        /// Arrival-horizon multiplier over [`Scale::horizon_us`], so
         /// every configuration samples several burst cycles while
         /// `UM_SCALE=quick` still composes.
         horizon_factor: f64,
@@ -427,7 +381,7 @@ pub struct Scenario {
     /// The request workload.
     pub workload: WorkloadSpec,
     /// Horizons, fleet width, master seed.
-    pub scale: ScaleSpec,
+    pub scale: Scale,
     /// Scheduled faults, replayed through the seeded
     /// [`FaultPlan`] builder per point. Must be empty for
     /// [`ScenarioKind::FaultTail`], which sweeps its own drop plan.
@@ -913,9 +867,8 @@ impl Scenario {
     }
 
     /// Expands the scenario into its fully-specified point list, in the
-    /// committed-results row order. Per-point seed derivation matches
-    /// the legacy inline drivers exactly — the conformance tests pin
-    /// this field-for-field.
+    /// committed-results row order. The committed `results/` byte-diffs
+    /// pin every point, per-point seeds included.
     ///
     /// # Errors
     ///
@@ -1164,11 +1117,11 @@ impl PointReport {
     }
 }
 
-/// What a scenario run produces: the legacy text table (byte-identical
-/// to the converted binary's stdout) and, for grid scenarios, the flat
-/// benchjson point array.
+/// What a scenario run produces: the text table (byte-identical to the
+/// committed `results/<name>.txt` for registry scenarios) and, for grid
+/// scenarios, the flat benchjson point array.
 pub struct ScenarioOutput {
-    /// The rendered table + prose, exactly as the binary prints it.
+    /// The rendered table + prose, exactly as `um-sweep` prints it.
     pub text: String,
     /// Grid scenarios: the benchjson `points` array (wrap it in the
     /// bench envelope with a `bench` name and `scale` label).
@@ -1749,7 +1702,7 @@ fn workload_to_json(w: &WorkloadSpec) -> Json {
     }
 }
 
-fn scale_to_json(s: &ScaleSpec) -> Json {
+fn scale_to_json(s: &Scale) -> Json {
     obj(vec![
         ("horizon_us", num_json(s.horizon_us)),
         ("warmup_us", num_json(s.warmup_us)),
@@ -2215,9 +2168,9 @@ fn workload_from_json(v: &Json, path: &str) -> Result<WorkloadSpec, String> {
     }
 }
 
-fn scale_from_json(v: &Json, path: &str) -> Result<ScaleSpec, String> {
+fn scale_from_json(v: &Json, path: &str) -> Result<Scale, String> {
     p_obj(v, path, &["horizon_us", "warmup_us", "servers", "seed"])?;
-    Ok(ScaleSpec {
+    Ok(Scale {
         horizon_us: p_num(p_get(v, path, "horizon_us")?, &format!("{path}.horizon_us"))?,
         warmup_us: p_num(p_get(v, path, "warmup_us")?, &format!("{path}.warmup_us"))?,
         servers: p_usize(p_get(v, path, "servers")?, &format!("{path}.servers"))?,
@@ -2680,7 +2633,7 @@ pub mod registry {
                 ..MachineSpec::of(MachineBase::Scaleout)
             },
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
+            scale: Scale::default(),
             faults: Vec::new(),
             mitigation: MitigationSpec::default(),
             cluster: None,
@@ -2697,7 +2650,7 @@ pub mod registry {
             name: "breakdown".to_string(),
             machine: MachineSpec::of(MachineBase::Umanycore),
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
+            scale: Scale::default(),
             faults: Vec::new(),
             mitigation: MitigationSpec::default(),
             cluster: None,
@@ -2727,7 +2680,7 @@ pub mod registry {
             name: "fault_tail".to_string(),
             machine: MachineSpec::of(MachineBase::Umanycore),
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
+            scale: Scale::default(),
             faults: Vec::new(),
             mitigation: MitigationSpec::default(),
             cluster: None,
@@ -2753,7 +2706,7 @@ pub mod registry {
                 ..MachineSpec::of(MachineBase::Umanycore)
             },
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec {
+            scale: Scale {
                 horizon_us: full.horizon_us,
                 warmup_us: full.warmup_us,
                 servers: 1,
@@ -2788,9 +2741,9 @@ pub mod registry {
             name: "cluster10".to_string(),
             machine: MachineSpec::of(MachineBase::Umanycore),
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec {
+            scale: Scale {
                 servers: 10,
-                ..ScaleSpec::full()
+                ..Scale::default()
             },
             faults: Vec::new(),
             mitigation: MitigationSpec::default(),
@@ -2830,7 +2783,7 @@ pub mod registry {
                 ..MachineSpec::of(MachineBase::Umanycore)
             },
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
+            scale: Scale::default(),
             faults: Vec::new(),
             mitigation: MitigationSpec::default(),
             cluster: None,
@@ -2870,7 +2823,7 @@ pub mod registry {
             name: "ablation_srpt".to_string(),
             machine: MachineSpec::of(MachineBase::Umanycore),
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
+            scale: Scale::default(),
             faults: Vec::new(),
             mitigation: MitigationSpec::default(),
             cluster: None,
@@ -2903,7 +2856,7 @@ pub mod registry {
             name: "sweep_default".to_string(),
             machine: MachineSpec::of(MachineBase::Umanycore),
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec {
+            scale: Scale {
                 horizon_us: 60_000.0,
                 warmup_us: 6_000.0,
                 servers: 1,
@@ -2957,53 +2910,6 @@ pub mod registry {
     /// Looks a built-in scenario up by name.
     pub fn by_name(name: &str) -> Option<Scenario> {
         all().into_iter().find(|s| s.name == name)
-    }
-}
-
-/// Applies `UM_SCALE`/`UM_SEED` to a scenario, mirroring
-/// [`crate::scale_from_env`] / [`crate::cluster_scale_from_env`] for the
-/// converted binaries.
-pub fn apply_env(s: &mut Scenario) {
-    apply_scale_values(
-        s,
-        std::env::var("UM_SCALE").ok().as_deref(),
-        std::env::var("UM_SEED").ok().as_deref(),
-    );
-}
-
-/// [`apply_env`] with the environment values passed explicitly, for
-/// tests. `quick` shrinks horizons (and, for cluster-tail scenarios,
-/// the rack and load list) exactly the way the legacy env helpers did.
-///
-/// # Panics
-///
-/// Panics when `seed` is set but not an integer (the legacy contract).
-pub fn apply_scale_values(s: &mut Scenario, scale: Option<&str>, seed: Option<&str>) {
-    if scale == Some("quick") {
-        match &mut s.kind {
-            ScenarioKind::ClusterTail { loads } => {
-                let q = ClusterScale::quick();
-                s.scale.horizon_us = q.horizon_us;
-                s.scale.warmup_us = q.warmup_us;
-                *loads = q.loads;
-                if let Some(c) = &mut s.cluster {
-                    c.nodes = q.nodes;
-                }
-            }
-            ScenarioKind::Grid(g) if !g.nodes.is_empty() => {
-                let q = ClusterScale::quick();
-                s.scale.horizon_us = q.horizon_us;
-                s.scale.warmup_us = q.warmup_us;
-            }
-            _ => {
-                let q = Scale::quick();
-                s.scale.horizon_us = q.horizon_us;
-                s.scale.warmup_us = q.warmup_us;
-            }
-        }
-    }
-    if let Some(seed) = seed {
-        s.scale.seed = seed.parse().expect("UM_SEED must be an integer");
     }
 }
 
@@ -3101,28 +3007,13 @@ mod tests {
     }
 
     #[test]
-    fn fig7_expansion_matches_the_legacy_inline_driver() {
-        let mut s = registry::fig7();
-        apply_scale_values(&mut s, Some("quick"), None);
-        let loads = match &s.kind {
-            ScenarioKind::Fig7 { loads } => loads.clone(),
-            _ => unreachable!(),
-        };
-        let legacy = motivation::fig7_configs(Scale::quick(), &loads);
-        let expanded = s.expand().expect("valid scenario");
-        assert_eq!(expanded.len(), legacy.len());
-        for (p, l) in expanded.iter().zip(&legacy) {
-            assert_eq!(
-                format!("{:?}", p.as_node().expect("node point")),
-                format!("{l:?}")
-            );
-        }
-    }
-
-    #[test]
     fn grid_expands_the_full_cross_product() {
         let mut s = registry::sweep_default();
-        apply_scale_values(&mut s, Some("quick"), Some("7"));
+        crate::EnvScale {
+            quick: true,
+            seed: Some(7),
+        }
+        .apply(&mut s);
         assert_eq!(s.scale.seed, 7);
         let points = s.expand().expect("valid scenario");
         assert_eq!(points.len(), 24);

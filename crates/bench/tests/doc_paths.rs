@@ -1,14 +1,23 @@
 //! Every repository path the top-level docs cite in backticks must exist,
-//! so a doc cannot keep pointing at a deleted results file, benchmark
-//! document or source file.
+//! and every command they cite must name a real binary or result, so a
+//! doc cannot keep pointing at a deleted results file, source file or
+//! figure binary.
 //!
 //! A token counts as a path when it starts with `results/`, `perf/`,
 //! `crates/`, `vendor/` or `BENCH`. `{a,b}` alternatives are expanded and
-//! a `*` component must match at least one directory entry.
+//! a `*` component must match at least one directory entry. In code
+//! (inline spans and fenced blocks), the word after `--bin` must be a
+//! `[[bin]]` a manifest declares, and the word after `um-sweep` or
+//! `-p um-bench --` must be an entry of the results table.
 
 use std::path::{Path, PathBuf};
 
-const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+const DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
 const PREFIXES: [&str; 5] = ["results/", "perf/", "crates/", "vendor/", "BENCH"];
 
 fn workspace_root() -> &'static Path {
@@ -105,6 +114,126 @@ fn docs_cite_only_existing_paths() {
         "docs cite paths that do not exist:\n{}",
         missing.join("\n")
     );
+}
+
+/// Inline code spans and fenced-block lines: the text commands live in.
+fn code_snippets(markdown: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut fenced = false;
+    for line in markdown.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if fenced {
+            out.push(line);
+        } else {
+            out.extend(line.split('`').skip(1).step_by(2));
+        }
+    }
+    out
+}
+
+/// `(binary, name)` pairs the snippet's commands cite: `--bin NAME` as
+/// `("--bin", NAME)`, and the result a `um-sweep NAME` or
+/// `cargo run -p um-bench -- NAME` invocation regenerates as
+/// `("um-sweep", NAME)`. Flags and placeholders (`<name>`, `NAME`) are
+/// skipped.
+fn cited_commands(snippet: &str) -> Vec<(&'static str, String)> {
+    let words: Vec<&str> = snippet.split_whitespace().collect();
+    let mut out = Vec::new();
+    let mut um_bench = false;
+    for (i, pair) in words.windows(2).enumerate() {
+        let (prev, word) = (pair[0], pair[1]);
+        um_bench |= prev == "um-bench" && i > 0 && words[i - 1] == "-p";
+        let kind = if prev == "--bin" {
+            "--bin"
+        } else if prev.ends_with("um-sweep") || (prev == "--" && um_bench) {
+            "um-sweep"
+        } else {
+            continue;
+        };
+        if word
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_' || c == '-')
+            && !word.starts_with('-')
+        {
+            out.push((kind, word.to_owned()));
+        }
+    }
+    out
+}
+
+/// Every `[[bin]]` name the workspace members under `crates/` declare.
+fn declared_binaries(root: &Path) -> Vec<String> {
+    let mut out = Vec::new();
+    for member in std::fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        let Ok(text) = std::fs::read_to_string(member.path().join("Cargo.toml")) else {
+            continue;
+        };
+        let mut in_bin = false;
+        for line in text.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_bin = line == "[[bin]]";
+            } else if let Some(name) = line.strip_prefix("name = ").filter(|_| in_bin) {
+                out.push(name.trim_matches('"').to_owned());
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn docs_cite_only_real_binaries_and_results() {
+    let root = workspace_root();
+    let binaries = declared_binaries(root);
+    let mut unknown = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc exists");
+        for snippet in code_snippets(&text) {
+            for (kind, name) in cited_commands(snippet) {
+                let known = match kind {
+                    "--bin" => binaries.contains(&name),
+                    _ => um_bench::figures::by_name(&name).is_some(),
+                };
+                if !known {
+                    unknown.push(format!("{doc}: `{kind} {name}`"));
+                }
+            }
+        }
+    }
+    assert!(
+        unknown.is_empty(),
+        "docs cite binaries or results that do not exist:\n{}",
+        unknown.join("\n")
+    );
+}
+
+#[test]
+fn command_citations_are_recognized() {
+    let cite = |s: &str| cited_commands(s);
+    assert_eq!(
+        cite("cargo run --release -p um-bench -- fig14 > results/fig14.txt"),
+        [("um-sweep", "fig14".to_owned())]
+    );
+    assert_eq!(
+        cite("UM_SCALE=quick ./target/release/um-sweep cluster_tail"),
+        [("um-sweep", "cluster_tail".to_owned())]
+    );
+    assert_eq!(
+        cite("cargo build -p um-bench --bin um-sweep"),
+        [("--bin", "um-sweep".to_owned())]
+    );
+    assert!(cite("um-sweep --list").is_empty());
+    assert!(cite("um-sweep <name>").is_empty());
+    assert!(cite("cargo run -p um-serve --bin um-serve -- --port 8080").len() == 1);
+    let binaries = declared_binaries(workspace_root());
+    for bin in ["um-sweep", "um-serve", "um-tidy"] {
+        assert!(binaries.iter().any(|b| b == bin), "{bin}: {binaries:?}");
+    }
+    assert!(!binaries.iter().any(|b| b == "fig14"));
 }
 
 #[test]

@@ -1,219 +1,47 @@
-//! Conformance tests for the declarative scenario layer: every converted
-//! figure binary's registry scenario must expand to exactly the config
-//! list the legacy inline driver built, and the sweep runner must render
-//! byte-identical text at any `UM_THREADS`.
+//! Conformance tests for the declarative scenario layer: the sweep
+//! runner must render byte-identical text at any `UM_THREADS`, the
+//! registry scenarios must keep the shapes their figures rest on, and
+//! validation must refuse the cluster RQ-deadlock regime.
 //!
-//! Expansion conformance compares `Debug` renderings field-for-field at
-//! quick scale (the same shape the full-scale committed results use —
-//! only horizons differ, and those come from the same [`Scale`] /
-//! [`ClusterScale`] values on both sides). Thread-identity runs use
-//! further-reduced horizons so the suite stays fast in debug builds; the
-//! determinism property being pinned does not depend on scale, and CI
-//! separately byte-diffs full-scale regenerations of every converted
-//! binary against the committed `results/` files.
+//! Runs use reduced horizons so the suite stays fast in debug builds; the
+//! properties being pinned do not depend on scale, and CI separately
+//! byte-diffs full-scale regenerations of every result against the
+//! committed `results/` files.
 
-use um_arch::config::MachineConfig;
-use um_bench::scenario::{self, registry, ScaleSpec, Scenario, ScenarioKind};
-use um_sched::DequeuePolicy;
-use um_workload::synthetic::SyntheticWorkload;
-use um_workload::ServiceTimeDist;
-use umanycore::experiments::cluster::ClusterScale;
-use umanycore::experiments::{cluster, motivation, resilience, Scale};
-use umanycore::system::ArrivalProcess;
-use umanycore::{SimConfig, Workload};
+use um_bench::scenario::{self, registry, PointConfig, Scenario, ScenarioKind};
+use um_bench::EnvScale;
+use umanycore::experiments::cluster::{ClusterScale, POLICIES};
+use umanycore::experiments::resilience::DROP_RATES;
+use umanycore::experiments::{parallel, Scale};
+use umanycore::{ClusterReport, ClusterSim, RunReport, SystemSim};
 
 /// Applies `UM_SCALE=quick` semantics without touching the environment
 /// (tests run in parallel; env mutation would race).
 fn quick(mut s: Scenario) -> Scenario {
-    scenario::apply_scale_values(&mut s, Some("quick"), None);
+    EnvScale {
+        quick: true,
+        seed: None,
+    }
+    .apply(&mut s);
     s
 }
 
-fn node_debugs(s: &Scenario) -> Vec<String> {
-    s.expand()
-        .expect("registry scenarios are valid")
-        .iter()
-        .map(|p| format!("{:?}", p.as_node().expect("single-node point")))
-        .collect()
-}
-
-// -----------------------------------------------------------------
-// Expansion conformance: registry scenario vs legacy inline driver
-// -----------------------------------------------------------------
-
-#[test]
-fn fig7_expands_to_the_legacy_config_list() {
-    let s = quick(registry::fig7());
-    let loads = match &s.kind {
-        ScenarioKind::Fig7 { loads } => loads.clone(),
-        other => panic!("fig7 registry scenario has kind {other:?}"),
-    };
-    let legacy: Vec<String> = motivation::fig7_configs(Scale::quick(), &loads)
-        .iter()
-        .map(|c| format!("{c:?}"))
-        .collect();
-    assert_eq!(node_debugs(&s), legacy);
-}
-
-#[test]
-fn fault_tail_expands_to_the_legacy_config_list() {
-    let s = quick(registry::fault_tail());
-    let legacy: Vec<String> = resilience::fault_tail_configs(Scale::quick())
-        .iter()
-        .map(|c| format!("{c:?}"))
-        .collect();
-    assert_eq!(node_debugs(&s), legacy);
-}
-
-#[test]
-fn breakdown_expands_to_the_legacy_config_list() {
-    let s = quick(registry::breakdown());
-    // The legacy binary called `run_machine_traced(machine, social_mix,
-    // 10_000.0, scale)` per machine, which built exactly this config.
-    let scale = Scale::quick();
-    let legacy: Vec<String> = [
-        MachineConfig::server_class_iso_power(),
-        MachineConfig::scaleout(),
-        MachineConfig::umanycore(),
-    ]
-    .into_iter()
-    .map(|machine| {
-        format!(
-            "{:?}",
-            SimConfig {
-                machine,
-                workload: Workload::social_mix(),
-                rps_per_server: 10_000.0,
-                servers: scale.servers,
-                horizon_us: scale.horizon_us,
-                warmup_us: scale.warmup_us,
-                seed: scale.seed,
-                trace: true,
-                ..SimConfig::default()
-            }
-        )
+/// Runs every single-node point of a scenario, in expansion order.
+fn node_reports(s: &Scenario) -> Vec<RunReport> {
+    let points = s.expand().expect("scenario is valid");
+    parallel::map(points, |_, p| match p {
+        PointConfig::Node(cfg) => SystemSim::new(*cfg).run(),
+        PointConfig::Cluster(_) => panic!("{}: expected single-node points", s.name),
     })
-    .collect();
-    assert_eq!(node_debugs(&s), legacy);
 }
 
-#[test]
-fn cluster_tail_expands_to_the_legacy_config_list() {
-    let s = quick(registry::cluster_tail());
-    let points = s.expand().expect("registry scenarios are valid");
-    let ours: Vec<String> = points
-        .iter()
-        .map(|p| format!("{:?}", p.as_cluster().expect("cluster point")))
-        .collect();
-    let legacy: Vec<String> = cluster::cluster_tail_configs(&ClusterScale::quick())
-        .iter()
-        .map(|(_, _, c)| format!("{c:?}"))
-        .collect();
-    assert_eq!(ours, legacy);
-}
-
-#[test]
-fn cluster10_expands_to_the_legacy_config_list() {
-    let s = quick(registry::cluster10());
-    // The legacy binary set `scale.servers = 10` after `scale_from_env`
-    // and swept loads x the four paper machines, all on the master seed.
-    let scale = Scale {
-        servers: 10,
-        ..Scale::quick()
-    };
-    let legacy: Vec<String> = [5_000.0, 10_000.0, 15_000.0]
-        .iter()
-        .flat_map(|&rps| {
-            [
-                MachineConfig::server_class_iso_power(),
-                MachineConfig::server_class_iso_area(),
-                MachineConfig::scaleout(),
-                MachineConfig::umanycore(),
-            ]
-            .map(|machine| {
-                format!(
-                    "{:?}",
-                    SimConfig {
-                        machine,
-                        workload: Workload::social_mix(),
-                        rps_per_server: rps,
-                        servers: scale.servers,
-                        horizon_us: scale.horizon_us,
-                        warmup_us: scale.warmup_us,
-                        seed: scale.seed,
-                        ..SimConfig::default()
-                    }
-                )
-            })
-        })
-        .collect();
-    assert_eq!(node_debugs(&s), legacy);
-}
-
-#[test]
-fn autoscale_expands_to_the_legacy_config_list() {
-    let s = quick(registry::autoscale());
-    let scale = Scale::quick();
-    let legacy: Vec<String> = [(false, true), (true, false), (true, true)]
-        .into_iter()
-        .map(|(autoscale, pool)| {
-            let mut machine = MachineConfig::umanycore();
-            machine.memory_pool = pool;
-            machine.rq_capacity = 8;
-            format!(
-                "{:?}",
-                SimConfig {
-                    machine,
-                    workload: Workload::social_mix(),
-                    rps_per_server: 160_000.0,
-                    servers: scale.servers,
-                    horizon_us: scale.horizon_us * 5.0,
-                    warmup_us: scale.warmup_us,
-                    seed: scale.seed,
-                    arrivals: ArrivalProcess::Bursty,
-                    autoscale,
-                    ..SimConfig::default()
-                }
-            )
-        })
-        .collect();
-    assert_eq!(node_debugs(&s), legacy);
-}
-
-#[test]
-fn ablation_srpt_expands_to_the_legacy_config_list() {
-    let s = quick(registry::ablation_srpt());
-    let scale = Scale::quick();
-    let heavy = Workload::Synthetic(SyntheticWorkload::new(
-        ServiceTimeDist::lognormal_with_mean(400.0, 9.0),
-        2,
-        6,
-    ));
-    let mut legacy = Vec::new();
-    for (workload, loads) in [
-        (Workload::social_mix(), [200_000.0, 1_200_000.0]),
-        (heavy, [200_000.0, 1_000_000.0]),
-    ] {
-        for rps in loads {
-            for policy in [DequeuePolicy::Fcfs, DequeuePolicy::Srpt] {
-                legacy.push(format!(
-                    "{:?}",
-                    SimConfig {
-                        machine: MachineConfig::umanycore(),
-                        workload: workload.clone(),
-                        rps_per_server: rps,
-                        servers: scale.servers,
-                        horizon_us: scale.horizon_us,
-                        warmup_us: scale.warmup_us,
-                        seed: scale.seed,
-                        dequeue_policy: policy,
-                        ..SimConfig::default()
-                    }
-                ));
-            }
-        }
-    }
-    assert_eq!(node_debugs(&s), legacy);
+/// Runs every rack point of a scenario, in expansion order.
+fn cluster_reports(s: &Scenario) -> Vec<ClusterReport> {
+    let points = s.expand().expect("scenario is valid");
+    parallel::map(points, |_, p| match p {
+        PointConfig::Cluster(cfg) => ClusterSim::new(*cfg).run(),
+        PointConfig::Node(_) => panic!("{}: expected rack points", s.name),
+    })
 }
 
 // -----------------------------------------------------------------
@@ -312,6 +140,52 @@ fn sweep_grid_is_bit_identical_across_thread_counts() {
 }
 
 // -----------------------------------------------------------------
+// Figure shapes on the registry scenarios
+// -----------------------------------------------------------------
+
+#[test]
+fn fault_tail_sweep_shapes() {
+    let mut s = registry::fault_tail();
+    s.scale = Scale {
+        horizon_us: 15_000.0,
+        warmup_us: 1_500.0,
+        ..Scale::default()
+    };
+    // One (unmitigated, retried) pair per drop rate.
+    let reports = node_reports(&s);
+    assert_eq!(reports.len(), 2 * DROP_RATES.len());
+    let pairs: Vec<&[RunReport]> = reports.chunks_exact(2).collect();
+    // The zero-loss point is fault-free in both columns.
+    assert_eq!(pairs[0][0].faults.drops, 0);
+    assert_eq!(pairs[0][1].faults.retries, 0);
+    // The heaviest-loss point drops messages and the mitigated column
+    // actually retries.
+    let worst = pairs.last().expect("nonempty sweep");
+    assert!(worst[0].faults.drops > 0);
+    assert!(worst[1].faults.retries > 0);
+    for r in &reports {
+        assert!(r.conservation.exact());
+    }
+}
+
+#[test]
+fn quick_tail_rows_cover_the_policy_grid() {
+    let mut s = registry::cluster_tail();
+    s.scale.horizon_us = 4_000.0;
+    s.scale.warmup_us = 400.0;
+    s.cluster.as_mut().expect("cluster scenario").nodes = 3;
+    s.kind = ScenarioKind::ClusterTail {
+        loads: vec![10_000.0],
+    };
+    let reports = cluster_reports(&s);
+    assert_eq!(reports.len(), POLICIES.len());
+    for (r, (policy, _)) in reports.iter().zip(POLICIES) {
+        assert!(r.recorded > 0, "{policy}");
+        assert!(r.conservation.exact(), "{policy}");
+    }
+}
+
+// -----------------------------------------------------------------
 // Regression: the cluster RQ-deadlock guard refuses shallow racks
 // -----------------------------------------------------------------
 
@@ -371,7 +245,7 @@ fn every_registry_scenario_expands_and_round_trips() {
 #[test]
 fn quick_scale_matches_the_experiment_layer_values() {
     let s = quick(registry::fig7());
-    assert_eq!(s.scale, ScaleSpec::from_scale(Scale::quick()));
+    assert_eq!(s.scale, Scale::quick());
     let c = quick(registry::cluster_tail());
     let q = ClusterScale::quick();
     assert_eq!(c.scale.horizon_us, q.horizon_us);

@@ -11,9 +11,10 @@ use proptest::prelude::*;
 use um_arch::config::IcnKind;
 use um_bench::scenario::{
     ClusterSpec, GridSpec, JitterSpec, MachineBase, MachineSpec, MitigationSpec, NamedMachine,
-    NamedPolicy, NamedRouting, RetrySpec, ScaleSpec, Scenario, ScenarioKind, WorkloadSpec,
+    NamedPolicy, NamedRouting, RetrySpec, Scenario, ScenarioKind, WorkloadSpec,
 };
 use um_sim::fault::FaultRecipe;
+use umanycore::experiments::Scale;
 use umanycore::RoutingPolicy;
 
 // -----------------------------------------------------------------
@@ -34,9 +35,9 @@ fn seed_strategy() -> impl Strategy<Value = u64> {
     0u64..(1u64 << 53)
 }
 
-fn scale_strategy() -> impl Strategy<Value = ScaleSpec> {
+fn scale_strategy() -> impl Strategy<Value = Scale> {
     (pos_f64(), 0.0f64..0.99, 1usize..4, seed_strategy()).prop_map(
-        |(horizon_us, warmup_frac, servers, seed)| ScaleSpec {
+        |(horizon_us, warmup_frac, servers, seed)| Scale {
             horizon_us,
             warmup_us: horizon_us * warmup_frac,
             servers,

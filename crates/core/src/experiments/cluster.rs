@@ -1,6 +1,7 @@
-//! Cluster-scale experiment drivers: fleet tail latency by routing policy
-//! and rack-level autoscaling (ROADMAP item 2; the uqSim /
-//! CloudNativeSim-style multi-node serving claims).
+//! Cluster-scale experiments (the uqSim / CloudNativeSim-style
+//! multi-node serving claims): the rack scale and routing policies the
+//! `cluster_tail` registry scenario sweeps, and the rack-level
+//! autoscaling driver.
 
 use super::parallel;
 use crate::cluster::{
@@ -112,42 +113,6 @@ pub fn rack_config(
     }
 }
 
-/// One `cluster_tail` result row.
-#[derive(Clone, Debug)]
-pub struct ClusterTailRow {
-    /// Routing policy display name.
-    pub policy: &'static str,
-    /// Offered load per node, requests per second.
-    pub rps_per_node: f64,
-    /// The full cluster report for the point.
-    pub report: ClusterReport,
-}
-
-/// The fully-specified fleet-tail point list: [`POLICIES`] outermost,
-/// loads innermost — the committed-results row order.
-pub fn cluster_tail_configs(scale: &ClusterScale) -> Vec<(&'static str, f64, ClusterConfig)> {
-    let mut points = Vec::new();
-    for &(name, routing) in &POLICIES {
-        for &rps in &scale.loads {
-            points.push((name, rps, rack_config(scale, rps, routing)));
-        }
-    }
-    points
-}
-
-/// Fleet tail latency by routing policy × offered load; points are
-/// evaluated through the deterministic sweep runner, so the table is
-/// bit-identical at any `UM_THREADS`.
-pub fn cluster_tail_rows(scale: &ClusterScale) -> Vec<ClusterTailRow> {
-    parallel::map(cluster_tail_configs(scale), move |_, (name, rps, cfg)| {
-        ClusterTailRow {
-            policy: name,
-            rps_per_node: rps,
-            report: ClusterSim::new(cfg).run(),
-        }
-    })
-}
-
 /// One `cluster_autoscale` result row.
 #[derive(Clone, Debug)]
 pub struct ClusterAutoscaleRow {
@@ -218,24 +183,4 @@ pub fn cluster_autoscale_rows(scale: &ClusterScale, rps_per_node: f64) -> Vec<Cl
         name,
         report: ClusterSim::new(cfg).run(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_tail_rows_cover_the_policy_grid() {
-        let mut scale = ClusterScale::quick();
-        scale.nodes = 3;
-        scale.loads = vec![10_000.0];
-        scale.horizon_us = 4_000.0;
-        scale.warmup_us = 400.0;
-        let rows = cluster_tail_rows(&scale);
-        assert_eq!(rows.len(), POLICIES.len());
-        for row in &rows {
-            assert!(row.report.recorded > 0, "{}", row.policy);
-            assert!(row.report.conservation.exact(), "{}", row.policy);
-        }
-    }
 }

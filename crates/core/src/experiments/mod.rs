@@ -1,6 +1,6 @@
 //! Experiment drivers: one function per paper figure/table.
 //!
-//! Each driver returns plain data rows; the `um-bench` binaries render
+//! Each driver returns plain data rows; `um-sweep`'s results table renders
 //! them as tables, and the integration tests assert the paper's *shapes*
 //! (who wins, by roughly what factor, where crossovers fall) on reduced
 //! scales.
@@ -30,7 +30,7 @@ pub struct Scale {
 }
 
 impl Default for Scale {
-    /// The figure-quality scale used by the bench binaries: 0.2 s of
+    /// The figure-quality scale the committed results use: 0.2 s of
     /// arrivals (thousands of requests per run).
     fn default() -> Self {
         Self {
@@ -69,29 +69,6 @@ pub fn run_machine(
         horizon_us: scale.horizon_us,
         warmup_us: scale.warmup_us,
         seed: scale.seed,
-        ..SimConfig::default()
-    })
-    .run()
-}
-
-/// [`run_machine`] with per-component latency tracing enabled, for the
-/// measured-breakdown figures. Timing and randomness are identical to the
-/// untraced run (tracing is pure observation).
-pub fn run_machine_traced(
-    machine: MachineConfig,
-    workload: Workload,
-    rps_per_server: f64,
-    scale: Scale,
-) -> RunReport {
-    SystemSim::new(SimConfig {
-        machine,
-        workload,
-        rps_per_server,
-        servers: scale.servers,
-        horizon_us: scale.horizon_us,
-        warmup_us: scale.warmup_us,
-        seed: scale.seed,
-        trace: true,
         ..SimConfig::default()
     })
     .run()

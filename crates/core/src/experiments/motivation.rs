@@ -314,38 +314,8 @@ pub const FIG7_VARIANTS: [(IcnKind, bool); 4] = [
     (IcnKind::FatTree, false),
 ];
 
-/// The fully-specified Figure 7 point list — [`FIG7_VARIANTS`] per load,
-/// loads outermost. Each load derives its own seed; the four runs at one
-/// load share it, so each normalization is paired.
-pub fn fig7_configs(scale: Scale, loads: &[f64]) -> Vec<SimConfig> {
-    loads
-        .iter()
-        .enumerate()
-        .flat_map(|(li, &rps)| {
-            FIG7_VARIANTS.iter().map(move |&(icn, contention)| {
-                let mut machine = MachineConfig::scaleout();
-                machine.icn = icn;
-                // ICN contention is the variable under study; scheduling
-                // and context-switch overheads are studied separately
-                // (Figures 3, 6).
-                machine.ctx_switch = CtxSwitchModel::Custom(0);
-                SimConfig {
-                    machine,
-                    workload: Workload::social_mix(),
-                    rps_per_server: rps,
-                    servers: scale.servers,
-                    horizon_us: scale.horizon_us,
-                    warmup_us: scale.warmup_us,
-                    seed: rng::derive_seed(scale.seed, li as u64),
-                    icn_contention: contention,
-                    ..SimConfig::default()
-                }
-            })
-        })
-        .collect()
-}
-
-/// Reduces the per-point p99 tails (in [`fig7_configs`] order) to the
+/// Reduces the per-point p99 tails — [`FIG7_VARIANTS`] per load, loads
+/// outermost, the four runs at one load sharing its seed — to the
 /// figure's paired normalizations.
 pub fn fig7_rows_from(loads: &[f64], tails: &[f64]) -> Vec<Fig7Row> {
     loads
@@ -357,15 +327,6 @@ pub fn fig7_rows_from(loads: &[f64], tails: &[f64]) -> Vec<Fig7Row> {
             fat_tree_norm_tail: t[2] / t[3],
         })
         .collect()
-}
-
-/// Runs the Figure 7 sweep on ScaleOut with mesh and fat-tree ICNs, all
-/// points in parallel.
-pub fn fig7_rows(scale: Scale, loads: &[f64]) -> Vec<Fig7Row> {
-    let tails = parallel::map(fig7_configs(scale, loads), |_, cfg| {
-        SystemSim::new(cfg).run().latency.p99
-    });
-    fig7_rows_from(loads, &tails)
 }
 
 // ---------------------------------------------------------------------

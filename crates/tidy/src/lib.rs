@@ -100,8 +100,6 @@ pub enum Rule {
     EnvRead,
     /// async/tokio types inside the std-only sim core.
     AsyncInSim,
-    /// Inline `SimConfig`/`ClusterConfig` literals in um-bench binaries.
-    ScenarioInlineConfig,
     /// Raw simulator types (`SimConfig`, `SystemSim`, …) in um-serve.
     ServeRawConfig,
     /// Malformed or unknown `um-tidy:` directive.
@@ -110,7 +108,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, for `--list-rules` and the allow-directive parser.
-    pub const ALL: [Rule; 18] = [
+    pub const ALL: [Rule; 17] = [
         Rule::UnorderedContainer,
         Rule::WallClock,
         Rule::UnseededRng,
@@ -126,7 +124,6 @@ impl Rule {
         Rule::PartialCmpSort,
         Rule::EnvRead,
         Rule::AsyncInSim,
-        Rule::ScenarioInlineConfig,
         Rule::ServeRawConfig,
         Rule::AllowSyntax,
     ];
@@ -157,7 +154,6 @@ impl Rule {
             Rule::PartialCmpSort => "partial-cmp-sort",
             Rule::EnvRead => "env-read",
             Rule::AsyncInSim => "async-in-sim",
-            Rule::ScenarioInlineConfig => "scenario-inline-config",
             Rule::ServeRawConfig => "serve-raw-config",
             Rule::AllowSyntax => "allow-syntax",
         }
@@ -219,11 +215,6 @@ impl Rule {
                 "async/tokio inside the sim core pulls executor scheduling into the \
                  deterministic kernel; even um-serve serves with std threads only"
             }
-            Rule::ScenarioInlineConfig => {
-                "inline SimConfig/ClusterConfig literals in um-bench binaries bypass the \
-                 declarative scenario layer; express the experiment as a um_bench::scenario \
-                 so it can be committed, validated and replayed as data"
-            }
             Rule::ServeRawConfig => {
                 "um-serve must speak the public um_bench::scenario API; raw \
                  SimConfig/SystemSim types in the service layer would let jobs drift from \
@@ -258,9 +249,6 @@ impl Rule {
             Rule::PartialCmpSort => "`sort_by(…partial_cmp…)`, `sort_unstable_by` on float keys",
             Rule::EnvRead => "`std::env::var` and friends",
             Rule::AsyncInSim => "`async`/`await`/`tokio` in the sim core",
-            Rule::ScenarioInlineConfig => {
-                "`SimConfig {`/`ClusterConfig {` literals (bypass the scenario layer)"
-            }
             Rule::ServeRawConfig => {
                 "`SimConfig`/`ClusterConfig`/`SystemSim`/`ClusterSim` (bypass the scenario API)"
             }
@@ -286,7 +274,6 @@ impl Rule {
             Rule::PartialCmpSort => "sim-state crates, non-test code",
             Rule::EnvRead => "sim-state crates, non-test code",
             Rule::AsyncInSim => "sim-state crates, non-test code",
-            Rule::ScenarioInlineConfig => "`crates/bench/src/bin/`, non-test code",
             Rule::ServeRawConfig => "`crates/serve`, non-test code",
             Rule::AllowSyntax => "everywhere",
         }
@@ -412,15 +399,6 @@ impl FileContext {
     fn harvests_seed_streams(&self) -> bool {
         !matches!(&self.krate, Some(k) if k == "tidy")
     }
-}
-
-/// Whether a path is a um-bench binary — the driver layer the
-/// `scenario-inline-config` rule fences. The scenario module itself
-/// (`crates/bench/src/scenario.rs`) is the one place allowed to build
-/// `SimConfig`/`ClusterConfig` literals from declarative specs; it lives
-/// outside `src/bin/`, so a simple prefix check suffices.
-fn is_bench_bin(path: &str) -> bool {
-    path.starts_with("crates/bench/src/bin/")
 }
 
 /// Whether `hay` contains `needle` as a standalone word (no identifier
@@ -718,39 +696,6 @@ fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
                  determinism tests pin"
                     .into(),
             ));
-        }
-
-        // -- scenario-layer provenance ----------------------------------
-        // Figure binaries describe experiments; the scenario layer builds
-        // configs. An inline struct literal in a bin is an experiment CI
-        // cannot validate, diff or replay from JSON.
-        if is_bench_bin(&path) && !in_test {
-            for pat in ["SimConfig {", "ClusterConfig {"] {
-                // A function signature's `-> SimConfig {` opens a body,
-                // not a struct literal.
-                let is_literal = |code: &str| {
-                    let mut from = 0;
-                    while let Some(pos) = code[from..].find(pat) {
-                        let at = from + pos;
-                        if !code[..at].ends_with("-> ") {
-                            return true;
-                        }
-                        from = at + pat.len();
-                    }
-                    false
-                };
-                if is_literal(cleaned) && contains_word(cleaned, pat.trim_end_matches(" {")) {
-                    firings.push((
-                        Rule::ScenarioInlineConfig,
-                        format!(
-                            "inline `{}` literal in a um-bench binary: build the experiment as \
-                             a um_bench::scenario::Scenario (registry or JSON) and expand it, \
-                             so the config list is committed, validated data",
-                            pat.trim_end_matches(" {")
-                        ),
-                    ));
-                }
-            }
         }
 
         // -- service-layer provenance -----------------------------------
@@ -1569,36 +1514,6 @@ mod tests {
             "std::env::var(\"UM_THREADS\")\n"
         )
         .is_empty());
-    }
-
-    #[test]
-    fn inline_config_flagged_only_in_bench_bins() {
-        let sim = "SystemSim::new(SimConfig {\n";
-        let cluster = "let c = ClusterConfig {\n";
-        for src in [sim, cluster] {
-            let diags = check_source("crates/bench/src/bin/x.rs", src);
-            assert_eq!(
-                diags.first().map(|d| d.rule),
-                Some(Rule::ScenarioInlineConfig),
-                "{src}"
-            );
-        }
-        // The scenario module, the experiment layer and tests all build
-        // configs by design; `..Default()` updates and net-config
-        // literals are not experiment definitions.
-        assert!(check_source("crates/bench/src/scenario.rs", sim).is_empty());
-        assert!(check_source("crates/core/src/experiments/motivation.rs", sim).is_empty());
-        assert!(check_source("crates/bench/tests/t.rs", sim).is_empty());
-        for fine in [
-            "..SimConfig::default()\n",
-            "net: ClusterNetConfig {\n",
-            "fn base() -> SimConfig {\n",
-        ] {
-            assert!(
-                check_source("crates/bench/src/bin/x.rs", fine).is_empty(),
-                "{fine}"
-            );
-        }
     }
 
     #[test]

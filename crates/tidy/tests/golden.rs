@@ -78,11 +78,6 @@ const CASES: &[(&str, &str, &str)] = &[
     ("env_read", "crates/sched/src/fixture.rs", "env-read"),
     ("async_in_sim", "crates/net/src/fixture.rs", "async-in-sim"),
     (
-        "scenario_inline_config",
-        "crates/bench/src/bin/fixture.rs",
-        "scenario-inline-config",
-    ),
-    (
         "serve_raw_config",
         "crates/serve/src/fixture.rs",
         "serve-raw-config",
@@ -101,11 +96,6 @@ const CASES: &[(&str, &str, &str)] = &[
     ),
     ("env_read_allowed", "crates/sched/src/fixture.rs", ""),
     ("async_in_sim_allowed", "crates/net/src/fixture.rs", ""),
-    (
-        "scenario_inline_config_allowed",
-        "crates/bench/src/bin/fixture.rs",
-        "",
-    ),
     (
         "serve_raw_config_allowed",
         "crates/serve/src/fixture.rs",
@@ -265,10 +255,6 @@ fn allowed_fixtures_register_debt() {
         ("partial_cmp_sort_allowed", "crates/stats/src/fixture.rs"),
         ("env_read_allowed", "crates/sched/src/fixture.rs"),
         ("async_in_sim_allowed", "crates/net/src/fixture.rs"),
-        (
-            "scenario_inline_config_allowed",
-            "crates/bench/src/bin/fixture.rs",
-        ),
         ("serve_raw_config_allowed", "crates/serve/src/fixture.rs"),
     ] {
         let files = vec![(virtual_path.to_string(), read_fixture(name))];
