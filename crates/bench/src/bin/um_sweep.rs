@@ -6,7 +6,9 @@
 //! point list and evaluate it through the deterministic `UM_THREADS`
 //! worker pool (results are bit-identical at any value). Grid scenarios
 //! can also emit a benchjson points document, checked against
-//! [`um_bench::benchjson::validate_bench`] before it is written.
+//! [`um_bench::benchjson::validate_bench`] before it is written;
+//! `--json`/`--csv` on anything else is refused with exit 2 before it
+//! runs.
 //!
 //! ```text
 //! um-sweep                          # run the built-in sweep_default grid
@@ -22,8 +24,9 @@
 //! an unknown value is refused. A failed `validate` self-check exits 1.
 
 use um_bench::benchjson::{obj, validate_bench, Json};
-use um_bench::figures::{self, Render};
-use um_bench::{sanitizer_check, scenario, EnvScale};
+use um_bench::figures;
+use um_bench::scenario::{self, ScenarioKind};
+use um_bench::{sanitizer_check, EnvScale};
 
 fn usage() -> ! {
     eprintln!(
@@ -124,6 +127,12 @@ fn main() {
         usage();
     }
 
+    let wants_points = json_path.is_some() || csv_path.is_some();
+    let not_grid = |name: &str| -> ! {
+        refuse(&format!(
+            "{name}: only grid scenarios emit benchjson points"
+        ))
+    };
     let env = EnvScale::from_env().unwrap_or_else(|e| refuse(&e));
     sanitizer_check();
     let mut s = match (&scenario_file, &name) {
@@ -135,28 +144,25 @@ fn main() {
         (None, Some(name)) => {
             let entry = figures::by_name(name)
                 .unwrap_or_else(|| refuse(&format!("no result named '{name}' (see --list)")));
-            if json_path.is_none() && csv_path.is_none() {
+            if !wants_points {
                 let (text, passed) = entry.run(env);
                 print!("{text}");
                 std::process::exit(if passed { 0 } else { 1 });
             }
-            if !matches!(entry.render, Render::Scenario) {
-                refuse(&format!(
-                    "{name}: only grid scenarios emit benchjson points"
-                ));
-            }
-            scenario::registry::by_name(name).expect("scenario entries name registry scenarios")
+            scenario::registry::by_name(name).unwrap_or_else(|| not_grid(name))
         }
         (None, None) => scenario::registry::sweep_default(),
     };
+    // Refuse before running: only the grid kind emits points.
+    if wants_points && !matches!(s.kind, ScenarioKind::Grid(_)) {
+        not_grid(&s.name);
+    }
     env.apply(&mut s);
     let out = scenario::run(&s).unwrap_or_else(|e| panic!("{}: {e}", s.name));
     print!("{}", out.text);
 
-    if json_path.is_some() || csv_path.is_some() {
-        let points = out
-            .points
-            .unwrap_or_else(|| panic!("{}: only grid scenarios emit benchjson points", s.name));
+    if wants_points {
+        let points = out.points.expect("grid scenarios emit points");
         if let Some(path) = json_path {
             let doc = obj(vec![
                 ("bench", Json::Str(s.name.clone())),

@@ -1,21 +1,24 @@
 //! Results beyond the paper's figures: ablations of designs the paper
-//! describes but does not evaluate, fault-injection sweeps and the
-//! rack-scale autoscaling extension.
+//! describes but does not evaluate, autoscaling, fault-injection sweeps
+//! and the rack-scale experiments.
 
 use rand::Rng;
 use um_arch::MachineConfig;
 use um_mem::pool::{MemoryPool, COLD_BOOT_MS};
 use um_net::{LeafSpine, Network, NetworkConfig, RouteStrategy, Topology};
-use um_sched::{PartitionedRq, RequestQueue, RqSlot};
+use um_sched::{DequeuePolicy, PartitionedRq, RequestQueue, RqSlot};
 use um_sim::{rng, Cycles, Frequency};
 use um_stats::table::{f1, f2, f3, Table};
 use um_stats::Samples;
 use um_workload::apps::SocialNetwork;
-use um_workload::ServiceId;
-use umanycore::experiments::cluster::cluster_autoscale_rows;
-use umanycore::experiments::resilience::{degradation_sweep, hedging_ablation};
+use um_workload::synthetic::SyntheticWorkload;
+use um_workload::{ServiceId, ServiceTimeDist};
+use umanycore::experiments::cluster::{cluster_autoscale_rows, cluster_tail_rows};
+use umanycore::experiments::resilience::{
+    degradation_sweep, fault_tail_sweep, hedging_ablation, RESILIENCE_RPS,
+};
 use umanycore::experiments::{parallel, run_machine};
-use umanycore::Workload;
+use umanycore::{ArrivalProcess, SimConfig, Workload};
 
 use crate::{header_text, EnvScale};
 
@@ -314,6 +317,201 @@ pub(super) fn ablation_snapshot(_: EnvScale) -> String {
     out
 }
 
+/// Autoscaling under bursts: the snapshot memory pool in the request
+/// path (§3.5), on a uManycore with small RQs so bursts overflow a
+/// single instance.
+pub(super) fn autoscale(env: EnvScale) -> String {
+    let scale = env.scale();
+    // (label, autoscale, snapshot pool)
+    let configs = [
+        ("no autoscaling", false, true),
+        ("autoscale, cold boots", true, false),
+        ("autoscale + snapshot pool", true, true),
+    ];
+    let reports = parallel::run_reports(
+        configs
+            .iter()
+            .map(|&(_, autoscale, pool)| {
+                let mut machine = MachineConfig::umanycore();
+                // Small RQs so bursts overflow a single instance.
+                machine.rq_capacity = 8;
+                machine.memory_pool = pool;
+                SimConfig {
+                    machine,
+                    workload: Workload::social_mix(),
+                    rps_per_server: 160_000.0,
+                    servers: scale.servers,
+                    // The MMPP dwells ~220 ms low and ~30 ms bursting, so
+                    // one scale unit (200 ms) samples roughly one burst
+                    // cycle and the comparison would hinge on whether it
+                    // happens to burst. Run 5x longer so every
+                    // configuration sees several bursts regardless of the
+                    // seed; multiplying the selected horizon keeps
+                    // UM_SCALE=quick composing.
+                    horizon_us: scale.horizon_us * 5.0,
+                    warmup_us: scale.warmup_us,
+                    seed: scale.seed,
+                    arrivals: ArrivalProcess::Bursty,
+                    autoscale,
+                    ..SimConfig::default()
+                }
+            })
+            .collect(),
+    );
+    let mut out = header_text(
+        "Autoscaling with snapshot pools",
+        "Bursty (MMPP) SocialNetwork traffic on uManycore; small 8-entry RQs so\n\
+         bursts overflow a single instance.",
+    );
+    let mut t = Table::with_columns(&[
+        "configuration",
+        "avg (us)",
+        "p99 (us)",
+        "boots",
+        "RQ overflows",
+    ]);
+    for ((name, ..), r) in configs.iter().zip(&reports) {
+        t.row(vec![
+            name.to_string(),
+            f1(r.latency.mean),
+            f1(r.latency.p99),
+            r.instance_boots.to_string(),
+            r.rq_overflows.to_string(),
+        ]);
+    }
+    out.push_str(&t.render());
+    out.push('\n');
+    out.push_str(
+        "paper: snapshots cut instance boot from >300 ms to <10 ms (§3.5), which\n\
+         is what lets the system absorb the Figure 2 bursts without tail spikes.\n",
+    );
+    out
+}
+
+/// Ablation: FCFS vs SRPT dequeue on the hardware RQ (§4.3), per
+/// workload and load. Both policies of one point share the seed, so the
+/// SRPT/FCFS ratio is paired.
+pub(super) fn ablation_srpt(env: EnvScale) -> String {
+    let scale = env.scale();
+    let heavy_tail = Workload::Synthetic(SyntheticWorkload::new(
+        ServiceTimeDist::lognormal_with_mean(400.0, 9.0),
+        2,
+        6,
+    ));
+    let workloads = [
+        (
+            "SocialMix",
+            Workload::social_mix(),
+            [200_000.0, 1_200_000.0],
+        ),
+        ("HeavyTail", heavy_tail, [200_000.0, 1_000_000.0]),
+    ];
+    let mut configs = Vec::new();
+    for (_, workload, loads) in &workloads {
+        for &rps in loads {
+            for dequeue_policy in [DequeuePolicy::Fcfs, DequeuePolicy::Srpt] {
+                configs.push(SimConfig {
+                    machine: MachineConfig::umanycore(),
+                    workload: workload.clone(),
+                    rps_per_server: rps,
+                    servers: scale.servers,
+                    horizon_us: scale.horizon_us,
+                    warmup_us: scale.warmup_us,
+                    seed: scale.seed,
+                    dequeue_policy,
+                    ..SimConfig::default()
+                });
+            }
+        }
+    }
+    let mut tails = parallel::run_reports(configs)
+        .into_iter()
+        .map(|r| r.latency.p99);
+    let mut out = header_text(
+        "Ablation: FCFS vs SRPT",
+        "Tail latency of the uManycore hardware RQ under both dequeue policies.",
+    );
+    let mut t = Table::with_columns(&[
+        "workload",
+        "load",
+        "FCFS tail (us)",
+        "SRPT tail (us)",
+        "SRPT/FCFS",
+    ]);
+    for (name, _, loads) in &workloads {
+        for &rps in loads {
+            let fcfs = tails.next().expect("one report per policy");
+            let srpt = tails.next().expect("one report per policy");
+            t.row(vec![
+                name.to_string(),
+                format!("{:.0}K", rps / 1000.0),
+                f1(fcfs),
+                f1(srpt),
+                format!("{:.2}", srpt / fcfs),
+            ]);
+        }
+    }
+    out.push_str(&t.render());
+    out.push('\n');
+    out.push_str(
+        "paper claim (§4.3): SRPT is unlikely to improve over FCFS for\n\
+         microservices. At evaluation loads the village queues stay shallow and\n\
+         the policies coincide (ratio 1.00); near saturation SRPT actively\n\
+         *hurts* the P99 by starving long requests. FCFS is the right choice.\n",
+    );
+    out
+}
+
+/// Tail vs message-loss rate, unmitigated vs timeout + exponential
+/// backoff with a retry budget.
+pub(super) fn fault_tail(env: EnvScale) -> String {
+    let rows = fault_tail_sweep(env.scale());
+    let mut out = header_text(
+        "Tail vs fault rate",
+        "uManycore, SocialNetwork mix at 8K RPS, per-leg message-drop probability\n\
+         swept. `none` = no mitigation (lost operations abandoned at the default\n\
+         RPC timeout, their requests excluded from latency); `retry` = timeout +\n\
+         exponential backoff with a 10% retry budget.",
+    );
+    let mut t = Table::with_columns(&[
+        "drop_p",
+        "none p50(us)",
+        "none p99(us)",
+        "none gave-up",
+        "retry p50(us)",
+        "retry p99(us)",
+        "retry gave-up",
+        "retries",
+    ]);
+    for row in &rows {
+        let (baseline, mitigated) = (&row.baseline, &row.mitigated);
+        t.row(vec![
+            format!("{:.3}", row.drop_p),
+            f1(baseline.latency.p50),
+            f1(baseline.latency.p99),
+            baseline.faults.gave_up_requests.to_string(),
+            f1(mitigated.latency.p50),
+            f1(mitigated.latency.p99),
+            mitigated.faults.gave_up_requests.to_string(),
+            mitigated.faults.retries.to_string(),
+        ]);
+    }
+    out.push_str(&t.render());
+    let worst = rows.last().expect("nonempty sweep");
+    out.push_str(&format!(
+        "at drop_p={:.3}: retry keeps {} of {} lost operations alive (baseline abandons {})\n",
+        worst.drop_p,
+        worst.mitigated.faults.retries,
+        worst.mitigated.faults.drops,
+        worst.baseline.faults.gave_up_requests,
+    ));
+    out.push_str(&format!(
+        "offered load {RESILIENCE_RPS:.0} RPS/server; all runs conserve latency to the cycle (checked: {})\n",
+        f2(worst.baseline.conservation.checked as f64),
+    ));
+    out
+}
+
 /// Graceful degradation: tail and throughput as cores fail-stop.
 ///
 /// Random cores fail permanently at seeded times through the run (a
@@ -474,6 +672,52 @@ pub(super) fn cluster_autoscale(env: EnvScale) -> String {
         "paper: snapshots cut instance boot from >300 ms to <10 ms (§3.5); at rack\n\
          scale that is the difference between absorbing a burst with standby\n\
          packages and queueing it at the load balancer for the cold boot's duration.\n",
+    );
+    out
+}
+
+/// Fleet tail by routing policy: a rack of package slices behind one
+/// load balancer, per-node load swept up to ~0.95 utilization.
+pub(super) fn cluster_tail(env: EnvScale) -> String {
+    let scale = env.cluster();
+    let rows = cluster_tail_rows(&scale);
+    let mut out = header_text(
+        "Cluster tail by routing policy",
+        &format!(
+            "{} uManycore package slices (8-core villages, 64 cores each) behind one\n\
+             load balancer; SocialNetwork mix, 0.5 us rack fabric with lognormal\n\
+             jitter; per-node offered load swept up to ~0.95 utilization.",
+            scale.nodes
+        ),
+    );
+    let mut t = Table::with_columns(&[
+        "policy",
+        "rps/node",
+        "avg (us)",
+        "p99 (us)",
+        "hop avg (us)",
+        "hop p99 (us)",
+        "peak LB queue",
+    ]);
+    for row in &rows {
+        let r = &row.report;
+        t.row(vec![
+            row.policy.to_string(),
+            format!("{:.0}", row.rps_per_node),
+            f1(r.latency.mean),
+            f1(r.latency.p99),
+            f1(r.cluster_hop.mean),
+            f1(r.cluster_hop.p99),
+            r.peak_lb_queue.to_string(),
+        ]);
+    }
+    out.push_str(&t.render());
+    out.push('\n');
+    out.push_str(
+        "At low load the package's internal parallelism absorbs routing imbalance\n\
+         and every policy ties; past ~0.9 utilization JSQ(2) tracks the central\n\
+         queue while random routing pays at the p99 — the uqSim/CloudNativeSim-style\n\
+         cluster result, with a many-core package (not a single worker) per node.\n",
     );
     out
 }

@@ -72,15 +72,15 @@ pub const ALL: &[Entry] = &[
     text("ablation_routing", extensions::ablation_routing),
     text("ablation_rqmap", extensions::ablation_rqmap),
     text("ablation_snapshot", extensions::ablation_snapshot),
-    scenario("ablation_srpt"),
-    scenario("autoscale"),
-    scenario("breakdown"),
+    text("ablation_srpt", extensions::ablation_srpt),
+    text("autoscale", extensions::autoscale),
+    text("breakdown", evaluation::breakdown),
     scenario("cluster10"),
     text("cluster_autoscale", extensions::cluster_autoscale),
-    scenario("cluster_tail"),
+    text("cluster_tail", extensions::cluster_tail),
     text("fault_degradation", extensions::fault_degradation),
     text("fault_hedging", extensions::fault_hedging),
-    scenario("fault_tail"),
+    text("fault_tail", extensions::fault_tail),
     text("fig1", motivation::fig1),
     text("fig14", evaluation::fig14),
     text("fig15", evaluation::fig15),
@@ -94,7 +94,7 @@ pub const ALL: &[Entry] = &[
     text("fig4", motivation::fig4),
     text("fig5", motivation::fig5),
     text("fig6", motivation::fig6),
-    scenario("fig7"),
+    text("fig7", motivation::fig7),
     text("fig8", motivation::fig8),
     text("fig9", motivation::fig9),
     text("isoarea", evaluation::isoarea),

@@ -1,5 +1,5 @@
 //! The motivation and characterization results (§2–§3): Table 1 and
-//! Figures 1–9 (Figure 7 is the `fig7` registry scenario).
+//! Figures 1–9.
 
 use um_stats::table::{f1, f2, f3, Table};
 use umanycore::experiments::motivation;
@@ -240,6 +240,31 @@ pub(super) fn fig6(env: EnvScale) -> String {
     out.push_str(
         "paper: <=256 cycles ~ flat; 2K cycles 13-23x at 50K; 5-8K cycles 26-38x at 50K\n",
     );
+    out
+}
+
+/// Figure 7: tail latency with ICN contention on the ScaleOut, mesh vs
+/// fat tree, normalized to the same system without contention.
+///
+/// Paper anchor: at 50K RPS contention inflates the tail 14.7x on the
+/// mesh and 7.5x on the fat tree.
+pub(super) fn fig7(env: EnvScale) -> String {
+    let rows = motivation::fig7_rows(env.scale(), &[1_000.0, 5_000.0, 10_000.0, 50_000.0]);
+    let mut out = header_text(
+        "Figure 7",
+        "Tail latency with ICN contention, normalized to the same system without\ncontention.",
+    );
+    let mut t = Table::with_columns(&["load", "2D mesh", "fat tree"]);
+    for r in &rows {
+        t.row(vec![
+            format!("{:.0}K-RPS", r.rps / 1000.0),
+            f2(r.mesh_norm_tail),
+            f2(r.fat_tree_norm_tail),
+        ]);
+    }
+    out.push_str(&t.render());
+    out.push('\n');
+    out.push_str("paper at 50K RPS: mesh 14.7x, fat tree 7.5x\n");
     out
 }
 

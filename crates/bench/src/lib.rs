@@ -23,7 +23,7 @@
 use umanycore::experiments::cluster::ClusterScale;
 use umanycore::experiments::Scale;
 
-use crate::scenario::{Scenario, ScenarioKind};
+use crate::scenario::Scenario;
 
 pub mod benchjson;
 pub mod engine;
@@ -114,22 +114,16 @@ impl EnvScale {
     }
 
     /// Applies the selection to a scenario: `quick` takes the horizons
-    /// of [`EnvScale::scale`] (rack kinds: [`EnvScale::cluster`], and the
-    /// cluster-tail kind also its rack width and load list), and the seed
-    /// replaces the master seed.
+    /// of [`EnvScale::scale`] (a grid with a nodes axis: of
+    /// [`EnvScale::cluster`]), and the seed replaces the master seed.
     pub fn apply(self, s: &mut Scenario) {
         if self.quick {
-            let rack = ClusterScale::quick();
-            let (horizon_us, warmup_us) = match &mut s.kind {
-                ScenarioKind::ClusterTail { loads } => {
-                    *loads = rack.loads;
-                    if let Some(c) = &mut s.cluster {
-                        c.nodes = rack.nodes;
-                    }
-                    (rack.horizon_us, rack.warmup_us)
-                }
-                ScenarioKind::Grid(g) if !g.nodes.is_empty() => (rack.horizon_us, rack.warmup_us),
-                _ => (Scale::quick().horizon_us, Scale::quick().warmup_us),
+            let (horizon_us, warmup_us) = if s.runs_cluster() {
+                let rack = self.cluster();
+                (rack.horizon_us, rack.warmup_us)
+            } else {
+                let node = self.scale();
+                (node.horizon_us, node.warmup_us)
             };
             s.scale.horizon_us = horizon_us;
             s.scale.warmup_us = warmup_us;

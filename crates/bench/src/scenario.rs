@@ -17,19 +17,16 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use um_arch::config::{IcnKind, MachineConfig, TopologyShape};
-use um_sched::{CtxSwitchModel, DequeuePolicy, HedgeConfig, MitigationConfig, RetryConfig};
+use um_sched::{CtxSwitchModel, HedgeConfig, MitigationConfig, RetryConfig};
 use um_sim::fault::{FaultPlan, FaultRecipe};
 use um_sim::rng;
-use um_sim::trace::Component;
 use um_stats::summary::geomean;
-use um_stats::table::{f1, f2, Table};
+use um_stats::table::{f1, Table};
 use um_workload::synthetic::SyntheticWorkload;
 use um_workload::ServiceTimeDist;
 use umanycore::cluster::ClusterNetConfig;
-use umanycore::experiments::cluster::ClusterScale;
-use umanycore::experiments::{motivation, parallel, Scale};
+use umanycore::experiments::{parallel, Scale};
 use umanycore::report::RunReport;
-use umanycore::system::ArrivalProcess;
 use umanycore::{
     ClusterConfig, ClusterReport, ClusterSim, RoutingPolicy, SimConfig, SystemSim, Workload,
 };
@@ -238,7 +235,9 @@ pub struct JitterSpec {
 /// admission control and fabric jitter.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterSpec {
-    /// Packages in the rack.
+    /// Packages in the rack. A grid's nodes axis sets each point's rack
+    /// width, so expansion does not read this; it stays in the schema
+    /// for compatibility.
     pub nodes: usize,
     /// Routing policies swept (display order).
     pub routing: Vec<NamedRouting>,
@@ -251,35 +250,13 @@ pub struct ClusterSpec {
     pub steer: bool,
 }
 
-/// A machine column of the breakdown table.
+/// A machine row of a [`ScenarioKind::MachineCompare`] table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NamedMachine {
-    /// Column label.
+    /// Row label.
     pub name: String,
-    /// The machine under that column.
+    /// The machine in that row.
     pub machine: MachineSpec,
-}
-
-/// One autoscaling configuration of an [`ScenarioKind::Autoscale`] row.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AutoscaleConfig {
-    /// Row label, e.g. `autoscale + snapshot pool`.
-    pub name: String,
-    /// Instance autoscaling on village overload.
-    pub autoscale: bool,
-    /// Snapshot memory pool backing instance boots (cold boots when off).
-    pub pool: bool,
-}
-
-/// A workload row of an [`ScenarioKind::SrptAblation`] sweep.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NamedWorkload {
-    /// Row label, e.g. `HeavyTail`.
-    pub name: String,
-    /// The workload under that label.
-    pub workload: WorkloadSpec,
-    /// Offered loads swept for this workload, requests per second.
-    pub loads: Vec<f64>,
 }
 
 /// A mitigation policy axis value of a [`GridSpec`].
@@ -306,37 +283,12 @@ pub struct GridSpec {
     pub policies: Vec<NamedPolicy>,
 }
 
-/// What the scenario measures — one variant per registry-backed result
-/// plus the generic grid.
+/// What the scenario measures. A kind exists only where something besides
+/// its own committed result runs it: the machine comparison backs the
+/// `compare10` benchmark workload, and the grid backs `um-sweep`, um-serve
+/// and the other benchmark workloads.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioKind {
-    /// Figure 7: ICN-contention tail inflation, mesh vs fat tree,
-    /// normalized against contention-free twins.
-    Fig7 {
-        /// Offered loads swept, requests per second per server.
-        loads: Vec<f64>,
-    },
-    /// The measured per-component latency breakdown across machines.
-    Breakdown {
-        /// Offered load, requests per second per server.
-        rps: f64,
-        /// Machine columns, in display order.
-        machines: Vec<NamedMachine>,
-    },
-    /// Tail vs message-loss rate, unmitigated vs timeout/retry.
-    FaultTail {
-        /// Offered load, requests per second per server.
-        rps: f64,
-        /// Per-leg drop probabilities swept.
-        drop_rates: Vec<f64>,
-        /// Timeout of the mitigated column's retry policy, microseconds.
-        retry_timeout_us: f64,
-    },
-    /// Fleet tail by routing policy (requires [`Scenario::cluster`]).
-    ClusterTail {
-        /// Offered loads per node swept, requests per second.
-        loads: Vec<f64>,
-    },
     /// The abstract's headline comparison: several machines across a load
     /// sweep, with the first-vs-last geomean latency ratios as the
     /// headline (the `cluster10` table).
@@ -347,25 +299,6 @@ pub enum ScenarioKind {
         /// first row's latency by the last row's.
         machines: Vec<NamedMachine>,
     },
-    /// Autoscaling under bursty (MMPP) arrivals: pool-backed vs cold
-    /// instance boots vs none (the `autoscale` table).
-    Autoscale {
-        /// Offered load, requests per second per server.
-        rps: f64,
-        /// Arrival-horizon multiplier over [`Scale::horizon_us`], so
-        /// every configuration samples several burst cycles while
-        /// `UM_SCALE=quick` still composes.
-        horizon_factor: f64,
-        /// Configurations, in display order.
-        configs: Vec<AutoscaleConfig>,
-    },
-    /// FCFS vs SRPT dequeue on the hardware RQ, per workload and load
-    /// (the `ablation_srpt` table). Each point runs both policies on a
-    /// shared seed so the ratio stays paired.
-    SrptAblation {
-        /// Workload rows; each sweeps its own load list.
-        workloads: Vec<NamedWorkload>,
-    },
     /// The generic `um-sweep` grid.
     Grid(GridSpec),
 }
@@ -375,21 +308,20 @@ pub enum ScenarioKind {
 pub struct Scenario {
     /// Registry/display name.
     pub name: String,
-    /// The machine every point runs (the breakdown kind's per-column
-    /// machines override it).
+    /// The machine every point runs (machine-compare rows override it).
     pub machine: MachineSpec,
     /// The request workload.
     pub workload: WorkloadSpec,
     /// Horizons, fleet width, master seed.
     pub scale: Scale,
     /// Scheduled faults, replayed through the seeded
-    /// [`FaultPlan`] builder per point. Must be empty for
-    /// [`ScenarioKind::FaultTail`], which sweeps its own drop plan.
+    /// [`FaultPlan`] builder per point.
     pub faults: Vec<FaultRecipe>,
-    /// Base mitigation policy (kinds that sweep mitigation — fault-tail,
-    /// grid — override it per point).
+    /// Base mitigation policy. The grid's policy axis sets each point's
+    /// mitigation, so expansion does not read this; it stays in the
+    /// schema for compatibility.
     pub mitigation: MitigationSpec,
-    /// Serving-layer knobs; required by cluster-running kinds.
+    /// Serving-layer knobs; required by a grid with a nodes axis.
     pub cluster: Option<ClusterSpec>,
     /// What to measure.
     pub kind: ScenarioKind,
@@ -551,11 +483,7 @@ impl Scenario {
     /// Whether this scenario runs cluster simulations (and therefore
     /// needs a [`ClusterSpec`] and the RQ deadlock guard).
     pub fn runs_cluster(&self) -> bool {
-        match &self.kind {
-            ScenarioKind::ClusterTail { .. } => true,
-            ScenarioKind::Grid(g) => !g.nodes.is_empty(),
-            _ => false,
-        }
+        matches!(&self.kind, ScenarioKind::Grid(g) if !g.nodes.is_empty())
     }
 
     /// Checks every knob before expansion.
@@ -648,53 +576,6 @@ impl Scenario {
 
     fn validate_kind(&self) -> Result<(), String> {
         match &self.kind {
-            ScenarioKind::Fig7 { loads } => validate_loads("scenario.kind.loads", loads),
-            ScenarioKind::Breakdown { rps, machines } => {
-                check(rps.is_finite() && *rps > 0.0, || {
-                    "scenario.kind.rps: must be a positive rate".to_string()
-                })?;
-                check(!machines.is_empty(), || {
-                    "scenario.kind.machines: must not be empty".to_string()
-                })?;
-                for (i, m) in machines.iter().enumerate() {
-                    check(!m.name.is_empty(), || {
-                        format!("scenario.kind.machines[{i}].name: must not be empty")
-                    })?;
-                    validate_machine(&format!("scenario.kind.machines[{i}].machine"), &m.machine)?;
-                }
-                Ok(())
-            }
-            ScenarioKind::FaultTail {
-                rps,
-                drop_rates,
-                retry_timeout_us,
-            } => {
-                check(rps.is_finite() && *rps > 0.0, || {
-                    "scenario.kind.rps: must be a positive rate".to_string()
-                })?;
-                check(!drop_rates.is_empty(), || {
-                    "scenario.kind.drop_rates: must not be empty".to_string()
-                })?;
-                for (i, &p) in drop_rates.iter().enumerate() {
-                    check(p.is_finite() && (0.0..1.0).contains(&p), || {
-                        format!("scenario.kind.drop_rates[{i}]: must be within [0, 1)")
-                    })?;
-                }
-                check(
-                    retry_timeout_us.is_finite() && *retry_timeout_us > 0.0,
-                    || "scenario.kind.retry_timeout_us: must be a positive timeout".to_string(),
-                )?;
-                check(self.faults.is_empty(), || {
-                    "scenario.faults: fault-tail sweeps its own drop plan; faults must be empty"
-                        .to_string()
-                })
-            }
-            ScenarioKind::ClusterTail { loads } => {
-                validate_loads("scenario.kind.loads", loads)?;
-                check(self.cluster.is_some(), || {
-                    "scenario.cluster: required by the cluster-tail kind".to_string()
-                })
-            }
             ScenarioKind::MachineCompare { loads, machines } => {
                 validate_loads("scenario.kind.loads", loads)?;
                 check(machines.len() >= 2, || {
@@ -707,43 +588,6 @@ impl Scenario {
                         format!("scenario.kind.machines[{i}].name: must not be empty")
                     })?;
                     validate_machine(&format!("scenario.kind.machines[{i}].machine"), &m.machine)?;
-                }
-                Ok(())
-            }
-            ScenarioKind::Autoscale {
-                rps,
-                horizon_factor,
-                configs,
-            } => {
-                check(rps.is_finite() && *rps > 0.0, || {
-                    "scenario.kind.rps: must be a positive rate".to_string()
-                })?;
-                check(horizon_factor.is_finite() && *horizon_factor >= 1.0, || {
-                    "scenario.kind.horizon_factor: must be a finite factor >= 1".to_string()
-                })?;
-                check(!configs.is_empty(), || {
-                    "scenario.kind.configs: must not be empty".to_string()
-                })?;
-                for (i, c) in configs.iter().enumerate() {
-                    check(!c.name.is_empty(), || {
-                        format!("scenario.kind.configs[{i}].name: must not be empty")
-                    })?;
-                }
-                Ok(())
-            }
-            ScenarioKind::SrptAblation { workloads } => {
-                check(!workloads.is_empty(), || {
-                    "scenario.kind.workloads: must not be empty".to_string()
-                })?;
-                for (i, w) in workloads.iter().enumerate() {
-                    check(!w.name.is_empty(), || {
-                        format!("scenario.kind.workloads[{i}].name: must not be empty")
-                    })?;
-                    validate_workload(
-                        &format!("scenario.kind.workloads[{i}].workload"),
-                        &w.workload,
-                    )?;
-                    validate_loads(&format!("scenario.kind.workloads[{i}].loads"), &w.loads)?;
                 }
                 Ok(())
             }
@@ -878,95 +722,6 @@ impl Scenario {
         let scale = self.scale;
         let mut points = Vec::new();
         match &self.kind {
-            ScenarioKind::Fig7 { loads } => {
-                for (li, &rps) in loads.iter().enumerate() {
-                    for &(icn, contention) in motivation::FIG7_VARIANTS.iter() {
-                        let mut machine = self.machine.build();
-                        machine.icn = icn;
-                        points.push(node_point(SimConfig {
-                            machine,
-                            workload: self.workload.build(),
-                            rps_per_server: rps,
-                            servers: scale.servers,
-                            horizon_us: scale.horizon_us,
-                            warmup_us: scale.warmup_us,
-                            seed: rng::derive_seed(scale.seed, li as u64),
-                            icn_contention: contention,
-                            ..SimConfig::default()
-                        }));
-                    }
-                }
-            }
-            ScenarioKind::Breakdown { rps, machines } => {
-                for m in machines {
-                    points.push(node_point(SimConfig {
-                        machine: m.machine.build(),
-                        workload: self.workload.build(),
-                        rps_per_server: *rps,
-                        servers: scale.servers,
-                        horizon_us: scale.horizon_us,
-                        warmup_us: scale.warmup_us,
-                        seed: scale.seed,
-                        trace: true,
-                        fault_plan: self.point_plan(scale.seed),
-                        ..SimConfig::default()
-                    }));
-                }
-            }
-            ScenarioKind::FaultTail {
-                rps,
-                drop_rates,
-                retry_timeout_us,
-            } => {
-                for (i, &drop_p) in drop_rates.iter().enumerate() {
-                    let seed = rng::derive_seed(scale.seed, i as u64);
-                    let plan = if drop_p > 0.0 {
-                        FaultPlan::from_recipes(
-                            seed,
-                            &[FaultRecipe::MessageDrops {
-                                probability: drop_p,
-                            }],
-                        )
-                    } else {
-                        FaultPlan::none()
-                    };
-                    for mitigation in [
-                        MitigationConfig::default(),
-                        MitigationConfig {
-                            retry: Some(RetryConfig::with_timeout_us(*retry_timeout_us)),
-                            ..MitigationConfig::default()
-                        },
-                    ] {
-                        points.push(node_point(SimConfig {
-                            machine: self.machine.build(),
-                            workload: self.workload.build(),
-                            rps_per_server: *rps,
-                            servers: scale.servers,
-                            horizon_us: scale.horizon_us,
-                            warmup_us: scale.warmup_us,
-                            seed,
-                            fault_plan: plan.clone(),
-                            mitigation,
-                            ..SimConfig::default()
-                        }));
-                    }
-                }
-            }
-            ScenarioKind::ClusterTail { loads } => {
-                let c = self.cluster.as_ref().expect("validated: cluster present");
-                for named in &c.routing {
-                    for &rps in loads {
-                        points.push(PointConfig::Cluster(Box::new(self.cluster_config(
-                            c,
-                            c.nodes,
-                            rps,
-                            named.policy,
-                            scale.seed,
-                            self.mitigation.build(),
-                        ))));
-                    }
-                }
-            }
             ScenarioKind::MachineCompare { loads, machines } => {
                 // The machines at one load share the seed so the
                 // headline ratios stay paired.
@@ -983,54 +738,6 @@ impl Scenario {
                             fault_plan: self.point_plan(scale.seed),
                             ..SimConfig::default()
                         }));
-                    }
-                }
-            }
-            ScenarioKind::Autoscale {
-                rps,
-                horizon_factor,
-                configs,
-            } => {
-                for cfg in configs {
-                    let mut machine = self.machine.build();
-                    machine.memory_pool = cfg.pool;
-                    points.push(node_point(SimConfig {
-                        machine,
-                        workload: self.workload.build(),
-                        rps_per_server: *rps,
-                        servers: scale.servers,
-                        // Multiply at expansion so UM_SCALE=quick
-                        // composes: quick sets the base horizon, the
-                        // kind stretches it over several burst cycles.
-                        horizon_us: scale.horizon_us * *horizon_factor,
-                        warmup_us: scale.warmup_us,
-                        seed: scale.seed,
-                        arrivals: ArrivalProcess::Bursty,
-                        autoscale: cfg.autoscale,
-                        fault_plan: self.point_plan(scale.seed),
-                        ..SimConfig::default()
-                    }));
-                }
-            }
-            ScenarioKind::SrptAblation { workloads } => {
-                // Both policies of one (workload, load) point share the
-                // seed, so the SRPT/FCFS ratio is paired.
-                for w in workloads {
-                    for &rps in &w.loads {
-                        for policy in [DequeuePolicy::Fcfs, DequeuePolicy::Srpt] {
-                            points.push(node_point(SimConfig {
-                                machine: self.machine.build(),
-                                workload: w.workload.build(),
-                                rps_per_server: rps,
-                                servers: scale.servers,
-                                horizon_us: scale.horizon_us,
-                                warmup_us: scale.warmup_us,
-                                seed: scale.seed,
-                                dequeue_policy: policy,
-                                fault_plan: self.point_plan(scale.seed),
-                                ..SimConfig::default()
-                            }));
-                        }
                     }
                 }
             }
@@ -1187,195 +894,11 @@ fn run_impl(
         None => parallel::map(points, eval),
     };
     Ok(match &s.kind {
-        ScenarioKind::Fig7 { loads } => render_fig7(loads, &reports),
-        ScenarioKind::Breakdown { machines, .. } => render_breakdown(machines, &reports),
-        ScenarioKind::FaultTail {
-            rps, drop_rates, ..
-        } => render_fault_tail(*rps, drop_rates, &reports),
-        ScenarioKind::ClusterTail { loads } => render_cluster_tail(s, loads, &reports),
         ScenarioKind::MachineCompare { loads, machines } => {
             render_machine_compare(s, loads, machines, &reports)
         }
-        ScenarioKind::Autoscale { configs, .. } => render_autoscale(configs, &reports),
-        ScenarioKind::SrptAblation { workloads } => render_srpt_ablation(workloads, &reports),
         ScenarioKind::Grid(g) => render_grid(s, g, &reports),
     })
-}
-
-fn render_fig7(loads: &[f64], reports: &[PointReport]) -> ScenarioOutput {
-    let tails: Vec<f64> = reports.iter().map(|r| r.node().latency.p99).collect();
-    let rows = motivation::fig7_rows_from(loads, &tails);
-    let mut out = header_text(
-        "Figure 7",
-        "Tail latency with ICN contention, normalized to the same system without\ncontention.",
-    );
-    let mut t = Table::with_columns(&["load", "2D mesh", "fat tree"]);
-    for r in &rows {
-        t.row(vec![
-            format!("{:.0}K-RPS", r.rps / 1000.0),
-            f2(r.mesh_norm_tail),
-            f2(r.fat_tree_norm_tail),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-    out.push_str("paper at 50K RPS: mesh 14.7x, fat tree 7.5x\n");
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
-}
-
-fn render_breakdown(machines: &[NamedMachine], reports: &[PointReport]) -> ScenarioOutput {
-    let mut out = header_text(
-        "Measured latency breakdown",
-        "Mean microseconds per root request (downstream RPC tree merged in) at 10K RPS\n\
-         (SocialNetwork mix), attributed by the tracing layer. Components sum to the\n\
-         mean end-to-end latency exactly.",
-    );
-    let mut cols = vec!["component"];
-    cols.extend(machines.iter().map(|m| m.name.as_str()));
-    let mut t = Table::with_columns(&cols);
-    let breakdowns: Vec<_> = reports
-        .iter()
-        .map(|r| r.node().breakdown.as_ref().expect("traced run"))
-        .collect();
-    for c in Component::ALL {
-        let mut row = vec![c.name().to_string()];
-        row.extend(breakdowns.iter().map(|b| f1(b.component(c).mean)));
-        t.row(row);
-    }
-    let mut row = vec!["= end-to-end mean".to_string()];
-    row.extend(reports.iter().map(|r| f1(r.node().latency.mean)));
-    t.row(row);
-    out.push_str(&t.render());
-    out.push('\n');
-    for (m, r) in machines.iter().zip(reports) {
-        let r = r.node();
-        assert!(
-            r.conservation.exact(),
-            "{}: conservation violated: {:?}",
-            m.name,
-            r.conservation
-        );
-        out.push_str(&format!(
-            "{}: conservation exact over {} requests ({} cycles attributed).\n",
-            m.name, r.conservation.checked, r.conservation.breakdown_cycles
-        ));
-    }
-    out.push('\n');
-    out.push_str(
-        "The software baselines' latency is RPC processing, memory stalls and (as\n\
-         load grows) queueing; uManycore's is the handler compute plus the storage\n\
-         tier, with scheduling, switching and RPC overheads at noise level — the\n\
-         per-component rendering of Figures 3 and 6. Downstream RPC wait appears\n\
-         as the callee's components (storage-service, compute, rpc-processing),\n\
-         never as caller queue-wait: the rows sum to the mean latency exactly.\n",
-    );
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
-}
-
-fn render_fault_tail(rps: f64, drop_rates: &[f64], reports: &[PointReport]) -> ScenarioOutput {
-    let mut out = header_text(
-        "Tail vs fault rate",
-        "uManycore, SocialNetwork mix at 8K RPS, per-leg message-drop probability\n\
-         swept. `none` = no mitigation (lost operations abandoned at the default\n\
-         RPC timeout, their requests excluded from latency); `retry` = timeout +\n\
-         exponential backoff with a 10% retry budget.",
-    );
-    let mut t = Table::with_columns(&[
-        "drop_p",
-        "none p50(us)",
-        "none p99(us)",
-        "none gave-up",
-        "retry p50(us)",
-        "retry p99(us)",
-        "retry gave-up",
-        "retries",
-    ]);
-    let pairs: Vec<(f64, &RunReport, &RunReport)> = drop_rates
-        .iter()
-        .zip(reports.chunks_exact(2))
-        .map(|(&p, pair)| (p, pair[0].node(), pair[1].node()))
-        .collect();
-    for (drop_p, baseline, mitigated) in &pairs {
-        t.row(vec![
-            format!("{:.3}", drop_p),
-            f1(baseline.latency.p50),
-            f1(baseline.latency.p99),
-            baseline.faults.gave_up_requests.to_string(),
-            f1(mitigated.latency.p50),
-            f1(mitigated.latency.p99),
-            mitigated.faults.gave_up_requests.to_string(),
-            mitigated.faults.retries.to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    let (drop_p, baseline, mitigated) = pairs.last().expect("nonempty sweep");
-    out.push_str(&format!(
-        "at drop_p={:.3}: retry keeps {} of {} lost operations alive (baseline abandons {})\n",
-        drop_p, mitigated.faults.retries, mitigated.faults.drops, baseline.faults.gave_up_requests,
-    ));
-    out.push_str(&format!(
-        "offered load {rps:.0} RPS/server; all runs conserve latency to the cycle (checked: {})\n",
-        f2(baseline.conservation.checked as f64),
-    ));
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
-}
-
-fn render_cluster_tail(s: &Scenario, loads: &[f64], reports: &[PointReport]) -> ScenarioOutput {
-    let c = s.cluster.as_ref().expect("validated: cluster present");
-    let mut out = header_text(
-        "Cluster tail by routing policy",
-        &format!(
-            "{} uManycore package slices (8-core villages, 64 cores each) behind one\n\
-             load balancer; SocialNetwork mix, 0.5 us rack fabric with lognormal\n\
-             jitter; per-node offered load swept up to ~0.95 utilization.",
-            c.nodes
-        ),
-    );
-    let mut t = Table::with_columns(&[
-        "policy",
-        "rps/node",
-        "avg (us)",
-        "p99 (us)",
-        "hop avg (us)",
-        "hop p99 (us)",
-        "peak LB queue",
-    ]);
-    let mut it = reports.iter();
-    for named in &c.routing {
-        for &rps in loads {
-            let r = it.next().expect("one report per point").cluster();
-            t.row(vec![
-                named.name.clone(),
-                format!("{rps:.0}"),
-                f1(r.latency.mean),
-                f1(r.latency.p99),
-                f1(r.cluster_hop.mean),
-                f1(r.cluster_hop.p99),
-                r.peak_lb_queue.to_string(),
-            ]);
-        }
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-    out.push_str(
-        "At low load the package's internal parallelism absorbs routing imbalance\n\
-         and every policy ties; past ~0.9 utilization JSQ(2) tracks the central\n\
-         queue while random routing pays at the p99 — the uqSim/CloudNativeSim-style\n\
-         cluster result, with a many-core package (not a single worker) per node.\n",
-    );
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
 }
 
 fn render_machine_compare(
@@ -1424,81 +947,6 @@ fn render_machine_compare(
         geomean(&avg_ratio),
         geomean(&tail_ratio)
     ));
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
-}
-
-fn render_autoscale(configs: &[AutoscaleConfig], reports: &[PointReport]) -> ScenarioOutput {
-    let mut out = header_text(
-        "Autoscaling with snapshot pools",
-        "Bursty (MMPP) SocialNetwork traffic on uManycore; small 8-entry RQs so\n\
-         bursts overflow a single instance.",
-    );
-    let mut t = Table::with_columns(&[
-        "configuration",
-        "avg (us)",
-        "p99 (us)",
-        "boots",
-        "RQ overflows",
-    ]);
-    for (c, r) in configs.iter().zip(reports) {
-        let r = r.node();
-        t.row(vec![
-            c.name.clone(),
-            f1(r.latency.mean),
-            f1(r.latency.p99),
-            r.instance_boots.to_string(),
-            r.rq_overflows.to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-    out.push_str(
-        "paper: snapshots cut instance boot from >300 ms to <10 ms (§3.5), which\n\
-         is what lets the system absorb the Figure 2 bursts without tail spikes.\n",
-    );
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
-}
-
-fn render_srpt_ablation(workloads: &[NamedWorkload], reports: &[PointReport]) -> ScenarioOutput {
-    let mut out = header_text(
-        "Ablation: FCFS vs SRPT",
-        "Tail latency of the uManycore hardware RQ under both dequeue policies.",
-    );
-    let mut t = Table::with_columns(&[
-        "workload",
-        "load",
-        "FCFS tail (us)",
-        "SRPT tail (us)",
-        "SRPT/FCFS",
-    ]);
-    let mut it = reports.iter();
-    for w in workloads {
-        for &rps in &w.loads {
-            let fcfs = it.next().expect("one report per policy").node().latency.p99;
-            let srpt = it.next().expect("one report per policy").node().latency.p99;
-            t.row(vec![
-                w.name.clone(),
-                format!("{:.0}K", rps / 1000.0),
-                f1(fcfs),
-                f1(srpt),
-                format!("{:.2}", srpt / fcfs),
-            ]);
-        }
-    }
-    out.push_str(&t.render());
-    out.push('\n');
-    out.push_str(
-        "paper claim (§4.3): SRPT is unlikely to improve over FCFS for\n\
-         microservices. At evaluation loads the village queues stay shallow and\n\
-         the policies coincide (ratio 1.00); near saturation SRPT actively\n\
-         *hurts* the P99 by starving long requests. FCFS is the right choice.\n",
-    );
     ScenarioOutput {
         text: out,
         points: None,
@@ -1878,38 +1326,6 @@ fn named_machines_to_json(machines: &[NamedMachine]) -> Json {
 
 fn kind_to_json(k: &ScenarioKind) -> Json {
     match k {
-        ScenarioKind::Fig7 { loads } => obj(vec![
-            ("type", Json::Str("fig7".into())),
-            (
-                "loads",
-                Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
-            ),
-        ]),
-        ScenarioKind::Breakdown { rps, machines } => obj(vec![
-            ("type", Json::Str("breakdown".into())),
-            ("rps", num_json(*rps)),
-            ("machines", named_machines_to_json(machines)),
-        ]),
-        ScenarioKind::FaultTail {
-            rps,
-            drop_rates,
-            retry_timeout_us,
-        } => obj(vec![
-            ("type", Json::Str("fault-tail".into())),
-            ("rps", num_json(*rps)),
-            (
-                "drop_rates",
-                Json::Arr(drop_rates.iter().map(|&p| num_json(p)).collect()),
-            ),
-            ("retry_timeout_us", num_json(*retry_timeout_us)),
-        ]),
-        ScenarioKind::ClusterTail { loads } => obj(vec![
-            ("type", Json::Str("cluster-tail".into())),
-            (
-                "loads",
-                Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
-            ),
-        ]),
         ScenarioKind::MachineCompare { loads, machines } => obj(vec![
             ("type", Json::Str("machine-compare".into())),
             (
@@ -1917,51 +1333,6 @@ fn kind_to_json(k: &ScenarioKind) -> Json {
                 Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
             ),
             ("machines", named_machines_to_json(machines)),
-        ]),
-        ScenarioKind::Autoscale {
-            rps,
-            horizon_factor,
-            configs,
-        } => obj(vec![
-            ("type", Json::Str("autoscale".into())),
-            ("rps", num_json(*rps)),
-            ("horizon_factor", num_json(*horizon_factor)),
-            (
-                "configs",
-                Json::Arr(
-                    configs
-                        .iter()
-                        .map(|c| {
-                            obj(vec![
-                                ("name", Json::Str(c.name.clone())),
-                                ("autoscale", Json::Bool(c.autoscale)),
-                                ("pool", Json::Bool(c.pool)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        ScenarioKind::SrptAblation { workloads } => obj(vec![
-            ("type", Json::Str("srpt-ablation".into())),
-            (
-                "workloads",
-                Json::Arr(
-                    workloads
-                        .iter()
-                        .map(|w| {
-                            obj(vec![
-                                ("name", Json::Str(w.name.clone())),
-                                ("workload", workload_to_json(&w.workload)),
-                                (
-                                    "loads",
-                                    Json::Arr(w.loads.iter().map(|&l| num_json(l)).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
         ]),
         ScenarioKind::Grid(g) => obj(vec![
             ("type", Json::Str("grid".into())),
@@ -2420,42 +1791,6 @@ fn named_machines_from_json(v: &Json, path: &str) -> Result<Vec<NamedMachine>, S
 fn kind_from_json(v: &Json, path: &str) -> Result<ScenarioKind, String> {
     let kind = p_str(p_get(v, path, "type")?, &format!("{path}.type"))?;
     match kind.as_str() {
-        "fig7" => {
-            p_obj(v, path, &["type", "loads"])?;
-            Ok(ScenarioKind::Fig7 {
-                loads: p_f64_arr(p_get(v, path, "loads")?, &format!("{path}.loads"))?,
-            })
-        }
-        "breakdown" => {
-            p_obj(v, path, &["type", "rps", "machines"])?;
-            Ok(ScenarioKind::Breakdown {
-                rps: p_num(p_get(v, path, "rps")?, &format!("{path}.rps"))?,
-                machines: named_machines_from_json(
-                    p_get(v, path, "machines")?,
-                    &format!("{path}.machines"),
-                )?,
-            })
-        }
-        "fault-tail" => {
-            p_obj(v, path, &["type", "rps", "drop_rates", "retry_timeout_us"])?;
-            Ok(ScenarioKind::FaultTail {
-                rps: p_num(p_get(v, path, "rps")?, &format!("{path}.rps"))?,
-                drop_rates: p_f64_arr(
-                    p_get(v, path, "drop_rates")?,
-                    &format!("{path}.drop_rates"),
-                )?,
-                retry_timeout_us: p_num(
-                    p_get(v, path, "retry_timeout_us")?,
-                    &format!("{path}.retry_timeout_us"),
-                )?,
-            })
-        }
-        "cluster-tail" => {
-            p_obj(v, path, &["type", "loads"])?;
-            Ok(ScenarioKind::ClusterTail {
-                loads: p_f64_arr(p_get(v, path, "loads")?, &format!("{path}.loads"))?,
-            })
-        }
         "machine-compare" => {
             p_obj(v, path, &["type", "loads", "machines"])?;
             Ok(ScenarioKind::MachineCompare {
@@ -2465,53 +1800,6 @@ fn kind_from_json(v: &Json, path: &str) -> Result<ScenarioKind, String> {
                     &format!("{path}.machines"),
                 )?,
             })
-        }
-        "autoscale" => {
-            p_obj(v, path, &["type", "rps", "horizon_factor", "configs"])?;
-            let configs = p_arr(p_get(v, path, "configs")?, &format!("{path}.configs"))?
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let cpath = format!("{path}.configs[{i}]");
-                    p_obj(c, &cpath, &["name", "autoscale", "pool"])?;
-                    Ok(AutoscaleConfig {
-                        name: p_str(p_get(c, &cpath, "name")?, &format!("{cpath}.name"))?,
-                        autoscale: p_bool(
-                            p_get(c, &cpath, "autoscale")?,
-                            &format!("{cpath}.autoscale"),
-                        )?,
-                        pool: p_bool(p_get(c, &cpath, "pool")?, &format!("{cpath}.pool"))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(ScenarioKind::Autoscale {
-                rps: p_num(p_get(v, path, "rps")?, &format!("{path}.rps"))?,
-                horizon_factor: p_num(
-                    p_get(v, path, "horizon_factor")?,
-                    &format!("{path}.horizon_factor"),
-                )?,
-                configs,
-            })
-        }
-        "srpt-ablation" => {
-            p_obj(v, path, &["type", "workloads"])?;
-            let workloads = p_arr(p_get(v, path, "workloads")?, &format!("{path}.workloads"))?
-                .iter()
-                .enumerate()
-                .map(|(i, w)| {
-                    let wpath = format!("{path}.workloads[{i}]");
-                    p_obj(w, &wpath, &["name", "workload", "loads"])?;
-                    Ok(NamedWorkload {
-                        name: p_str(p_get(w, &wpath, "name")?, &format!("{wpath}.name"))?,
-                        workload: workload_from_json(
-                            p_get(w, &wpath, "workload")?,
-                            &format!("{wpath}.workload"),
-                        )?,
-                        loads: p_f64_arr(p_get(w, &wpath, "loads")?, &format!("{wpath}.loads"))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(ScenarioKind::SrptAblation { workloads })
         }
         "grid" => {
             p_obj(v, path, &["type", "loads", "seeds", "nodes", "policies"])?;
@@ -2620,119 +1908,6 @@ impl Scenario {
 /// The named built-in scenarios behind the committed `results/` tables.
 pub mod registry {
     use super::*;
-    use umanycore::experiments::{cluster, resilience};
-
-    /// Figure 7: ICN contention on the ScaleOut, mesh vs fat tree.
-    pub fn fig7() -> Scenario {
-        Scenario {
-            name: "fig7".to_string(),
-            machine: MachineSpec {
-                // ICN contention is the variable under study; scheduling
-                // and context-switch overheads are studied separately.
-                ctx_switch_cycles: Some(0),
-                ..MachineSpec::of(MachineBase::Scaleout)
-            },
-            workload: WorkloadSpec::SocialMix,
-            scale: Scale::default(),
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::Fig7 {
-                loads: vec![1_000.0, 5_000.0, 10_000.0, 50_000.0],
-            },
-        }
-    }
-
-    /// The measured per-component latency breakdown across the three
-    /// paper machines.
-    pub fn breakdown() -> Scenario {
-        Scenario {
-            name: "breakdown".to_string(),
-            machine: MachineSpec::of(MachineBase::Umanycore),
-            workload: WorkloadSpec::SocialMix,
-            scale: Scale::default(),
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::Breakdown {
-                rps: 10_000.0,
-                machines: vec![
-                    NamedMachine {
-                        name: "ServerClass-40".to_string(),
-                        machine: MachineSpec::of(MachineBase::ServerClassIsoPower),
-                    },
-                    NamedMachine {
-                        name: "ScaleOut".to_string(),
-                        machine: MachineSpec::of(MachineBase::Scaleout),
-                    },
-                    NamedMachine {
-                        name: "uManycore".to_string(),
-                        machine: MachineSpec::of(MachineBase::Umanycore),
-                    },
-                ],
-            },
-        }
-    }
-
-    /// Tail vs message-loss rate, unmitigated vs timeout/retry.
-    pub fn fault_tail() -> Scenario {
-        Scenario {
-            name: "fault_tail".to_string(),
-            machine: MachineSpec::of(MachineBase::Umanycore),
-            workload: WorkloadSpec::SocialMix,
-            scale: Scale::default(),
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::FaultTail {
-                rps: resilience::RESILIENCE_RPS,
-                drop_rates: resilience::DROP_RATES.to_vec(),
-                retry_timeout_us: 1_500.0,
-            },
-        }
-    }
-
-    /// Fleet tail by routing policy: the committed
-    /// `results/cluster_tail.txt` rack.
-    pub fn cluster_tail() -> Scenario {
-        let full = ClusterScale::full();
-        Scenario {
-            name: "cluster_tail".to_string(),
-            machine: MachineSpec {
-                shape: Some([8, 2, 4]),
-                // Deep RQs keep the sweep inside the regime where every
-                // request completes (see DESIGN.md, "Cluster layer").
-                rq_capacity: Some(512),
-                ..MachineSpec::of(MachineBase::Umanycore)
-            },
-            workload: WorkloadSpec::SocialMix,
-            scale: Scale {
-                horizon_us: full.horizon_us,
-                warmup_us: full.warmup_us,
-                servers: 1,
-                seed: full.seed,
-            },
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: Some(ClusterSpec {
-                nodes: full.nodes,
-                routing: cluster::POLICIES
-                    .iter()
-                    .map(|&(name, policy)| NamedRouting {
-                        name: name.to_string(),
-                        policy,
-                    })
-                    .collect(),
-                max_in_flight: None,
-                jitter: Some(JitterSpec {
-                    mean_us: 0.5,
-                    scv: 4.0,
-                }),
-                steer: false,
-            }),
-            kind: ScenarioKind::ClusterTail { loads: full.loads },
-        }
-    }
 
     /// The abstract's headline experiment: 10-server clusters of the
     /// four paper machines, committed as `results/cluster10.txt`.
@@ -2766,83 +1941,6 @@ pub mod registry {
                     NamedMachine {
                         name: "uManycore".to_string(),
                         machine: MachineSpec::of(MachineBase::Umanycore),
-                    },
-                ],
-            },
-        }
-    }
-
-    /// Autoscaling under bursts: the snapshot memory pool in the request
-    /// path, committed as `results/autoscale.txt`.
-    pub fn autoscale() -> Scenario {
-        Scenario {
-            name: "autoscale".to_string(),
-            machine: MachineSpec {
-                // Small RQs so bursts overflow a single instance.
-                rq_capacity: Some(8),
-                ..MachineSpec::of(MachineBase::Umanycore)
-            },
-            workload: WorkloadSpec::SocialMix,
-            scale: Scale::default(),
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::Autoscale {
-                rps: 160_000.0,
-                // The MMPP dwells ~220 ms low and ~30 ms bursting, so one
-                // scale unit (200 ms) samples roughly one burst cycle and
-                // the comparison would hinge on whether it happens to
-                // burst. Run 5x longer so every configuration sees
-                // several bursts regardless of the seed.
-                horizon_factor: 5.0,
-                configs: vec![
-                    AutoscaleConfig {
-                        name: "no autoscaling".to_string(),
-                        autoscale: false,
-                        pool: true,
-                    },
-                    AutoscaleConfig {
-                        name: "autoscale, cold boots".to_string(),
-                        autoscale: true,
-                        pool: false,
-                    },
-                    AutoscaleConfig {
-                        name: "autoscale + snapshot pool".to_string(),
-                        autoscale: true,
-                        pool: true,
-                    },
-                ],
-            },
-        }
-    }
-
-    /// FCFS vs SRPT dequeue (paper §4.3), committed as
-    /// `results/ablation_srpt.txt`.
-    pub fn ablation_srpt() -> Scenario {
-        Scenario {
-            name: "ablation_srpt".to_string(),
-            machine: MachineSpec::of(MachineBase::Umanycore),
-            workload: WorkloadSpec::SocialMix,
-            scale: Scale::default(),
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::SrptAblation {
-                workloads: vec![
-                    NamedWorkload {
-                        name: "SocialMix".to_string(),
-                        workload: WorkloadSpec::SocialMix,
-                        loads: vec![200_000.0, 1_200_000.0],
-                    },
-                    NamedWorkload {
-                        name: "HeavyTail".to_string(),
-                        workload: WorkloadSpec::Synthetic {
-                            mean_us: 400.0,
-                            scv: 9.0,
-                            min_rpcs: 2,
-                            max_rpcs: 6,
-                        },
-                        loads: vec![200_000.0, 1_000_000.0],
                     },
                 ],
             },
@@ -2895,16 +1993,7 @@ pub mod registry {
 
     /// Every built-in scenario, in display order.
     pub fn all() -> Vec<Scenario> {
-        vec![
-            fig7(),
-            breakdown(),
-            fault_tail(),
-            cluster_tail(),
-            cluster10(),
-            autoscale(),
-            ablation_srpt(),
-            sweep_default(),
-        ]
+        vec![cluster10(), sweep_default()]
     }
 
     /// Looks a built-in scenario up by name.
@@ -2918,39 +2007,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_registry_scenario_validates() {
-        for s in registry::all() {
-            s.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
-        }
-    }
-
-    #[test]
     fn registry_lookup_by_name() {
-        assert_eq!(registry::by_name("fig7").expect("exists").name, "fig7");
+        assert_eq!(
+            registry::by_name("cluster10").expect("exists").name,
+            "cluster10"
+        );
         assert!(registry::by_name("no-such-scenario").is_none());
     }
 
     #[test]
-    fn canonical_json_round_trips_byte_stably() {
-        for s in registry::all() {
-            let text = s.to_json_text();
-            let back =
-                Scenario::from_json_text(&text).unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            assert_eq!(back, s, "{}", s.name);
-            assert_eq!(back.to_json_text(), text, "{}", s.name);
-        }
-    }
-
-    #[test]
     fn unknown_fields_are_rejected_with_their_path() {
-        let mut doc = registry::fig7().to_json();
+        let mut doc = registry::cluster10().to_json();
         if let Json::Obj(pairs) = &mut doc {
             pairs.push(("surprise".to_string(), Json::Num(1.0)));
         }
         let err = Scenario::from_json(&doc).expect_err("unknown field");
         assert!(err.contains("unknown field `surprise`"), "{err}");
 
-        let mut doc = registry::fig7().to_json();
+        let mut doc = registry::cluster10().to_json();
         if let Some(Json::Obj(pairs)) = doc.get("machine").cloned().as_mut() {
             pairs.push(("warp_factor".to_string(), Json::Num(9.0)));
             if let Json::Obj(top) = &mut doc {
@@ -2967,14 +2041,14 @@ mod tests {
 
     #[test]
     fn out_of_range_knobs_fail_validation_not_panic() {
-        let mut s = registry::fault_tail();
-        if let ScenarioKind::FaultTail { drop_rates, .. } = &mut s.kind {
-            drop_rates[1] = 1.5;
+        let mut s = registry::cluster10();
+        if let ScenarioKind::MachineCompare { machines, .. } = &mut s.kind {
+            machines.truncate(1);
         }
-        let err = s.validate().expect_err("bad drop rate");
-        assert!(err.contains("drop_rates[1]"), "{err}");
+        let err = s.validate().expect_err("one machine row");
+        assert!(err.contains("scenario.kind.machines"), "{err}");
 
-        let mut s = registry::fig7();
+        let mut s = registry::cluster10();
         s.scale.warmup_us = s.scale.horizon_us * 2.0;
         assert!(s.validate().is_err());
 
@@ -2987,23 +2061,6 @@ mod tests {
         }
         let err = s.validate().expect_err("bad backoff");
         assert!(err.contains("backoff"), "{err}");
-    }
-
-    #[test]
-    fn shallow_rq_cluster_without_admission_cap_is_refused() {
-        let mut s = registry::cluster_tail();
-        s.machine.rq_capacity = None; // default 64-entry RQ
-        let err = s.validate().expect_err("deadlock-prone scenario");
-        assert!(err.contains("max_in_flight"), "{err}");
-        assert!(err.contains("rq_capacity"), "{err}");
-        assert!(err.contains("Cluster layer"), "{err}");
-
-        // An admission cap within the pigeonhole bound is accepted...
-        s.cluster.as_mut().expect("cluster spec").max_in_flight = Some(32);
-        s.validate().expect("capped shallow-RQ rack is safe");
-        // ...a cap past it is not.
-        s.cluster.as_mut().expect("cluster spec").max_in_flight = Some(33);
-        assert!(s.validate().is_err());
     }
 
     #[test]

@@ -199,16 +199,15 @@ fn policy_axis_strategy() -> impl Strategy<Value = Vec<NamedPolicy>> {
 
 fn node_kind_strategy() -> impl Strategy<Value = ScenarioKind> {
     prop_oneof![
-        loads_strategy().prop_map(|loads| ScenarioKind::Fig7 { loads }),
         (
-            pos_f64(),
+            loads_strategy(),
             proptest::collection::vec(
                 (name_strategy(), machine_strategy())
                     .prop_map(|(name, machine)| NamedMachine { name, machine }),
-                1..3,
+                2..4,
             )
         )
-            .prop_map(|(rps, machines)| ScenarioKind::Breakdown { rps, machines }),
+            .prop_map(|(loads, machines)| ScenarioKind::MachineCompare { loads, machines }),
         (
             loads_strategy(),
             proptest::collection::vec(seed_strategy(), 1..3),
@@ -251,43 +250,8 @@ fn node_scenario_strategy() -> impl Strategy<Value = Scenario> {
         )
 }
 
-/// Fault-tail scenarios sweep their own drop plan, so `faults` must be
-/// empty.
-fn fault_tail_scenario_strategy() -> impl Strategy<Value = Scenario> {
-    (
-        name_strategy(),
-        machine_strategy(),
-        workload_strategy(),
-        scale_strategy(),
-        mitigation_strategy(),
-        (
-            pos_f64(),
-            proptest::collection::vec(0.0f64..0.99, 1..4),
-            0.1f64..100_000.0,
-        ),
-    )
-        .prop_map(
-            |(name, machine, workload, scale, mitigation, (rps, drop_rates, retry_timeout_us))| {
-                Scenario {
-                    name,
-                    machine,
-                    workload,
-                    scale,
-                    faults: vec![],
-                    mitigation,
-                    cluster: None,
-                    kind: ScenarioKind::FaultTail {
-                        rps,
-                        drop_rates,
-                        retry_timeout_us,
-                    },
-                }
-            },
-        )
-}
-
-/// Cluster scenarios: deep RQ forced on the machine so the deadlock
-/// guard admits them.
+/// Rack grids: deep RQ forced on the machine so the deadlock guard
+/// admits them.
 fn cluster_scenario_strategy() -> impl Strategy<Value = Scenario> {
     (
         name_strategy(),
@@ -297,29 +261,21 @@ fn cluster_scenario_strategy() -> impl Strategy<Value = Scenario> {
         mitigation_strategy(),
         cluster_strategy(),
         512usize..2048,
-        prop_oneof![
-            loads_strategy().prop_map(|loads| (loads, None)),
-            (
-                loads_strategy(),
-                proptest::collection::vec(seed_strategy(), 1..3),
-                proptest::collection::vec(1usize..6, 1..3),
-                policy_axis_strategy()
-            )
-                .prop_map(|(loads, seeds, nodes, policies)| {
-                    (
-                        loads.clone(),
-                        Some(GridSpec {
-                            loads,
-                            seeds,
-                            nodes,
-                            policies,
-                        }),
-                    )
-                }),
-        ],
+        (
+            loads_strategy(),
+            proptest::collection::vec(seed_strategy(), 1..3),
+            proptest::collection::vec(1usize..6, 1..3),
+            policy_axis_strategy(),
+        )
+            .prop_map(|(loads, seeds, nodes, policies)| GridSpec {
+                loads,
+                seeds,
+                nodes,
+                policies,
+            }),
     )
         .prop_map(
-            |(name, mut machine, workload, scale, mitigation, cluster, rq, (loads, grid))| {
+            |(name, mut machine, workload, scale, mitigation, cluster, rq, grid)| {
                 machine.rq_capacity = Some(rq);
                 Scenario {
                     name,
@@ -329,10 +285,7 @@ fn cluster_scenario_strategy() -> impl Strategy<Value = Scenario> {
                     faults: vec![],
                     mitigation,
                     cluster: Some(cluster),
-                    kind: match grid {
-                        Some(g) => ScenarioKind::Grid(g),
-                        None => ScenarioKind::ClusterTail { loads },
-                    },
+                    kind: ScenarioKind::Grid(grid),
                 }
             },
         )
@@ -341,7 +294,6 @@ fn cluster_scenario_strategy() -> impl Strategy<Value = Scenario> {
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
     prop_oneof![
         3 => node_scenario_strategy(),
-        1 => fault_tail_scenario_strategy(),
         2 => cluster_scenario_strategy(),
     ]
 }

@@ -1,7 +1,6 @@
 //! Cluster-scale experiments (the uqSim / CloudNativeSim-style
-//! multi-node serving claims): the rack scale and routing policies the
-//! `cluster_tail` registry scenario sweeps, and the rack-level
-//! autoscaling driver.
+//! multi-node serving claims): fleet tail by routing policy, and
+//! rack-level autoscaling.
 
 use super::parallel;
 use crate::cluster::{
@@ -19,7 +18,7 @@ use um_workload::ServiceTimeDist;
 /// package width.
 pub const NODE_SHAPE: TopologyShape = TopologyShape::new(8, 2, 4);
 
-/// The routing policies the fleet-tail experiment sweeps, with display
+/// The routing policies [`cluster_tail_rows`] sweeps, with display
 /// names (display order is the committed-results row order).
 pub const POLICIES: [(&str, RoutingPolicy); 4] = [
     ("random", RoutingPolicy::Random),
@@ -113,6 +112,34 @@ pub fn rack_config(
     }
 }
 
+/// One `cluster_tail` result row.
+#[derive(Clone, Debug)]
+pub struct ClusterTailRow {
+    /// Routing policy display name.
+    pub policy: &'static str,
+    /// Offered load per node, requests per second.
+    pub rps_per_node: f64,
+    /// The full cluster report for the point.
+    pub report: ClusterReport,
+}
+
+/// Fleet tail by routing policy: every [`POLICIES`] entry at every load
+/// of `scale` on the [`rack_config`] rack, policies outermost (the
+/// committed row order).
+pub fn cluster_tail_rows(scale: &ClusterScale) -> Vec<ClusterTailRow> {
+    let points: Vec<(&'static str, RoutingPolicy, f64)> = POLICIES
+        .iter()
+        .flat_map(|&(name, routing)| scale.loads.iter().map(move |&rps| (name, routing, rps)))
+        .collect();
+    parallel::map(points, |_, (policy, routing, rps_per_node)| {
+        ClusterTailRow {
+            policy,
+            rps_per_node,
+            report: ClusterSim::new(rack_config(scale, rps_per_node, routing)).run(),
+        }
+    })
+}
+
 /// One `cluster_autoscale` result row.
 #[derive(Clone, Debug)]
 pub struct ClusterAutoscaleRow {
@@ -183,4 +210,27 @@ pub fn cluster_autoscale_rows(scale: &ClusterScale, rps_per_node: f64) -> Vec<Cl
         name,
         report: ClusterSim::new(cfg).run(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quick_tail_rows_cover_the_policy_grid() {
+        let scale = ClusterScale {
+            nodes: 3,
+            loads: vec![10_000.0],
+            horizon_us: 4_000.0,
+            warmup_us: 400.0,
+            seed: 42,
+        };
+        let rows = cluster_tail_rows(&scale);
+        assert_eq!(rows.len(), POLICIES.len());
+        for (row, (policy, _)) in rows.iter().zip(POLICIES) {
+            assert_eq!(row.policy, policy);
+            assert!(row.report.recorded > 0, "{policy}");
+            assert!(row.report.conservation.exact(), "{policy}");
+        }
+    }
 }

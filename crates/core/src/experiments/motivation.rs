@@ -305,19 +305,44 @@ pub struct Fig7Row {
     pub fat_tree_norm_tail: f64,
 }
 
-/// The four runs per Figure 7 load: ICN kind × contention on/off, in
-/// committed-results point order.
-pub const FIG7_VARIANTS: [(IcnKind, bool); 4] = [
+/// The four runs per Figure 7 load: ICN kind × contention on/off.
+const FIG7_VARIANTS: [(IcnKind, bool); 4] = [
     (IcnKind::Mesh, true),
     (IcnKind::Mesh, false),
     (IcnKind::FatTree, true),
     (IcnKind::FatTree, false),
 ];
 
-/// Reduces the per-point p99 tails — [`FIG7_VARIANTS`] per load, loads
-/// outermost, the four runs at one load sharing its seed — to the
-/// figure's paired normalizations.
-pub fn fig7_rows_from(loads: &[f64], tails: &[f64]) -> Vec<Fig7Row> {
+/// Runs the Figure 7 sweep on ScaleOut for the given loads, all points
+/// in parallel.
+///
+/// Each load derives its own seed; the four [`FIG7_VARIANTS`] runs at
+/// one load share it, so both normalizations are paired.
+pub fn fig7_rows(scale: Scale, loads: &[f64]) -> Vec<Fig7Row> {
+    let points: Vec<(usize, IcnKind, bool)> = (0..loads.len())
+        .flat_map(|li| FIG7_VARIANTS.iter().map(move |&(icn, c)| (li, icn, c)))
+        .collect();
+    let tails = parallel::map(points, |_, (li, icn, contention)| {
+        let mut machine = MachineConfig::scaleout();
+        // ICN contention is the variable under study; scheduling and
+        // context-switch overheads are studied separately.
+        machine.ctx_switch = CtxSwitchModel::Custom(0);
+        machine.icn = icn;
+        SystemSim::new(SimConfig {
+            machine,
+            workload: Workload::social_mix(),
+            rps_per_server: loads[li],
+            servers: scale.servers,
+            horizon_us: scale.horizon_us,
+            warmup_us: scale.warmup_us,
+            seed: rng::derive_seed(scale.seed, li as u64),
+            icn_contention: contention,
+            ..SimConfig::default()
+        })
+        .run()
+        .latency
+        .p99
+    });
     loads
         .iter()
         .zip(tails.chunks_exact(FIG7_VARIANTS.len()))

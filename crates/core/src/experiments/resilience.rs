@@ -1,8 +1,9 @@
 //! Resilience experiment drivers: fault injection and tail mitigation.
 //!
-//! Two sweeps here, one per committed result, plus the loss-rate axis
-//! ([`DROP_RATES`]) of the `fault_tail` registry scenario:
+//! Three sweeps here, one per committed result:
 //!
+//! - [`fault_tail_sweep`]: tail vs message-loss rate, unmitigated vs
+//!   timeout/retry.
 //! - [`hedging_ablation`]: p99 with and without request hedging while one
 //!   core in every village runs fail-slow — the paper's straggler
 //!   scenario, and this repo's acceptance gate for the mitigation layer.
@@ -13,7 +14,7 @@
 //! plan derive from the sweep's master seed, so results are bit-identical
 //! at any `UM_THREADS`.
 
-use um_sched::{HedgeConfig, MitigationConfig};
+use um_sched::{HedgeConfig, MitigationConfig, RetryConfig};
 use um_sim::fault::{FaultPlan, FaultWindow};
 use um_sim::{rng, Cycles};
 
@@ -28,8 +29,11 @@ use um_arch::MachineConfig;
 /// not to saturation.
 pub const RESILIENCE_RPS: f64 = 8_000.0;
 
-/// Message-drop probabilities the `fault_tail` scenario sweeps.
+/// Message-drop probabilities swept by [`fault_tail_sweep`].
 pub const DROP_RATES: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
+
+/// Attempt timeout of [`fault_tail_sweep`]'s retry column, microseconds.
+const RETRY_TIMEOUT_US: f64 = 1_500.0;
 
 /// Fail-slow slowdown factors swept by [`hedging_ablation`].
 pub const SLOWDOWNS: [f64; 4] = [2.0, 4.0, 6.0, 8.0];
@@ -52,6 +56,53 @@ fn base_config(scale: Scale, seed: u64) -> SimConfig {
 
 fn horizon_cycles(scale: Scale) -> Cycles {
     Cycles::from_micros(scale.horizon_us, MachineConfig::umanycore().core.frequency)
+}
+
+/// One loss-rate point: the same seed and drop plan, unmitigated vs
+/// timeout/retry.
+#[derive(Clone, Debug)]
+pub struct FaultTailRow {
+    /// Per-leg message-drop probability.
+    pub drop_p: f64,
+    /// No mitigation: lost operations are abandoned at the default RPC
+    /// timeout.
+    pub baseline: RunReport,
+    /// Timeout + exponential-backoff retry.
+    pub mitigated: RunReport,
+}
+
+/// Tail vs message-loss rate: one (unmitigated, retried) pair per
+/// [`DROP_RATES`] entry.
+pub fn fault_tail_sweep(scale: Scale) -> Vec<FaultTailRow> {
+    let retry = MitigationConfig {
+        retry: Some(RetryConfig::with_timeout_us(RETRY_TIMEOUT_US)),
+        ..MitigationConfig::default()
+    };
+    let mut configs = Vec::new();
+    for (i, &drop_p) in DROP_RATES.iter().enumerate() {
+        let seed = rng::derive_seed(scale.seed, i as u64);
+        let plan = if drop_p > 0.0 {
+            FaultPlan::builder(seed).message_drops(drop_p).build()
+        } else {
+            FaultPlan::none()
+        };
+        for mitigation in [MitigationConfig::default(), retry] {
+            configs.push(SimConfig {
+                fault_plan: plan.clone(),
+                mitigation,
+                ..base_config(scale, seed)
+            });
+        }
+    }
+    let mut reports = parallel::run_reports(configs).into_iter();
+    DROP_RATES
+        .iter()
+        .map(|&drop_p| FaultTailRow {
+            drop_p,
+            baseline: reports.next().expect("one report per point"),
+            mitigated: reports.next().expect("one report per point"),
+        })
+        .collect()
 }
 
 /// One straggler-severity point: fail-slow everywhere, hedging on vs off.
@@ -158,6 +209,24 @@ mod tests {
             warmup_us: 1_500.0,
             servers: 1,
             seed: 42,
+        }
+    }
+
+    #[test]
+    fn fault_tail_sweep_shapes() {
+        let rows = fault_tail_sweep(test_scale());
+        assert_eq!(rows.len(), DROP_RATES.len());
+        // The zero-loss point is fault-free in both columns.
+        assert_eq!(rows[0].baseline.faults.drops, 0);
+        assert_eq!(rows[0].mitigated.faults.retries, 0);
+        // The heaviest-loss point drops messages and the mitigated column
+        // actually retries.
+        let worst = rows.last().expect("nonempty sweep");
+        assert!(worst.baseline.faults.drops > 0);
+        assert!(worst.mitigated.faults.retries > 0);
+        for row in &rows {
+            assert!(row.baseline.conservation.exact());
+            assert!(row.mitigated.conservation.exact());
         }
     }
 

@@ -4,10 +4,12 @@
 //! A zero-dependency, std-only job service: a bounded admission queue
 //! feeds a worker thread pool (sized by `UM_THREADS`) over
 //! [`std::sync::mpsc`] channels, jobs are canonical
-//! [`um_bench::scenario`] documents submitted over a minimal hand-rolled
-//! HTTP/1.1 layer, and a content-addressed result cache keyed by the
-//! canonical scenario bytes (seed folded in) serves repeat submissions
-//! without re-simulating — cached and fresh results are byte-identical.
+//! [`um_bench::scenario`] documents (the `machine-compare` and `grid`
+//! kinds; `GET /registry` lists one of each) submitted over a minimal
+//! hand-rolled HTTP/1.1 layer, and a content-addressed result cache
+//! keyed by the canonical scenario bytes (seed folded in) serves repeat
+//! submissions without re-simulating — cached and fresh results are
+//! byte-identical.
 //!
 //! The determinism boundary: everything inside a job is the
 //! deterministic sweep runner (bit-identical at any `UM_THREADS`), so
@@ -20,7 +22,7 @@
 //! GET  /jobs/<id>             queued / running (with progress) / done / failed
 //! GET  /jobs/<id>/result      the benchjson envelope um-sweep emits
 //! GET  /jobs/<id>/result/text the rendered text table, byte-identical
-//!                             to the converted binary's stdout
+//!                             to `um-sweep`'s stdout
 //! GET  /registry              every built-in scenario, canonical JSON
 //! GET  /healthz               liveness + job/cache counters
 //! ```

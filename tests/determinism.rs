@@ -67,25 +67,12 @@ fn per_app_workloads_are_deterministic() {
 
 #[test]
 fn experiment_drivers_are_deterministic() {
-    use um_bench::scenario::{self, registry, ScenarioKind};
-    use umanycore::experiments::Scale;
-    let mut s = registry::fig7();
-    s.scale = Scale::quick();
-    s.kind = ScenarioKind::Fig7 {
-        loads: vec![10_000.0],
-    };
-    let p99_bits = || -> Vec<u64> {
-        s.expand()
-            .expect("valid scenario")
+    use umanycore::experiments::{motivation, Scale};
+    let bits = || -> Vec<(u64, u64)> {
+        motivation::fig7_rows(Scale::quick(), &[10_000.0])
             .iter()
-            .map(|p| {
-                let cfg = p.as_node().expect("single-node point").clone();
-                SystemSim::new(cfg).run().latency.p99.to_bits()
-            })
+            .map(|r| (r.mesh_norm_tail.to_bits(), r.fat_tree_norm_tail.to_bits()))
             .collect()
     };
-    assert_eq!(p99_bits(), p99_bits());
-    let a = scenario::run(&s).expect("valid scenario");
-    let b = scenario::run(&s).expect("valid scenario");
-    assert_eq!(a.text, b.text);
+    assert_eq!(bits(), bits());
 }

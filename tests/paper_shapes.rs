@@ -3,30 +3,12 @@
 //! scales. These span every crate in the workspace.
 
 use um_arch::MachineConfig;
-use um_bench::scenario::{registry, ScenarioKind};
 use um_workload::apps::SocialNetwork;
 use umanycore::experiments::{evaluation, motivation, Scale};
 use umanycore::{SimConfig, SystemSim, Workload};
 
 fn quick() -> Scale {
     Scale::quick()
-}
-
-/// One Figure 7 row from the `fig7` registry scenario at one load.
-fn fig7_row(scale: Scale, rps: f64) -> motivation::Fig7Row {
-    let mut s = registry::fig7();
-    s.scale = scale;
-    s.kind = ScenarioKind::Fig7 { loads: vec![rps] };
-    let tails: Vec<f64> = s
-        .expand()
-        .expect("valid scenario")
-        .iter()
-        .map(|p| {
-            let cfg = p.as_node().expect("single-node point").clone();
-            SystemSim::new(cfg).run().latency.p99
-        })
-        .collect();
-    motivation::fig7_rows_from(&[rps], &tails)[0]
 }
 
 /// Figure 14's core claim: uManycore's tail beats both baselines for
@@ -156,7 +138,7 @@ fn icn_contention_inflates_tails() {
         warmup_us: 4_000.0,
         ..quick()
     };
-    let row = fig7_row(scale, 50_000.0);
+    let row = motivation::fig7_rows(scale, &[50_000.0])[0];
     assert!(
         row.mesh_norm_tail > 2.0,
         "mesh contention should inflate the 50K tail: {}",
