@@ -648,24 +648,6 @@ fn node_point(cfg: SimConfig) -> PointConfig {
     PointConfig::Node(Box::new(cfg))
 }
 
-impl PointConfig {
-    /// The node config, when this is a single-node point.
-    pub fn as_node(&self) -> Option<&SimConfig> {
-        match self {
-            PointConfig::Node(cfg) => Some(cfg),
-            PointConfig::Cluster(_) => None,
-        }
-    }
-
-    /// The cluster config, when this is a rack point.
-    pub fn as_cluster(&self) -> Option<&ClusterConfig> {
-        match self {
-            PointConfig::Node(_) => None,
-            PointConfig::Cluster(cfg) => Some(cfg),
-        }
-    }
-}
-
 impl Scenario {
     fn point_plan(&self, seed: u64) -> FaultPlan {
         if self.faults.is_empty() {
@@ -1092,277 +1074,397 @@ fn render_grid(s: &Scenario, g: &GridSpec, reports: &[PointReport]) -> ScenarioO
 // JSON codec
 // ---------------------------------------------------------------------
 
-fn num_json(v: f64) -> Json {
-    Json::Num(v)
-}
+/// A value the scenario codec reads and writes. Every scenario type has
+/// one entry in the `record!`/`tagged!`/`names!` tables below, so a new
+/// field is one struct field plus one table entry; reading reports the
+/// offending field path (`scenario.kind.policies[0].mitigation`).
+pub trait Field: Sized {
+    /// The canonical JSON value.
+    fn write(&self) -> Json;
 
-fn uint_json(v: u64) -> Json {
-    Json::Num(v as f64)
-}
+    /// Parses the value at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `path` on the first structural violation.
+    fn read(v: &Json, path: &str) -> Result<Self, String>;
 
-fn machine_to_json(m: &MachineSpec) -> Json {
-    let base = match m.base {
-        MachineBase::Umanycore => "umanycore",
-        MachineBase::Scaleout => "scaleout",
-        MachineBase::ServerClassIsoPower => "server-class-iso-power",
-        MachineBase::ServerClassIsoArea => "server-class-iso-area",
-    };
-    let mut pairs = vec![("base", Json::Str(base.to_string()))];
-    if let Some(shape) = m.shape {
-        pairs.push((
-            "shape",
-            Json::Arr(shape.iter().map(|&d| uint_json(d as u64)).collect()),
-        ));
+    /// Whether the enclosing object leaves this field out (an absent
+    /// `Option`).
+    fn omitted(&self) -> bool {
+        false
     }
-    if let Some(rq) = m.rq_capacity {
-        pairs.push(("rq_capacity", uint_json(rq as u64)));
-    }
-    if let Some(c) = m.ctx_switch_cycles {
-        pairs.push(("ctx_switch_cycles", uint_json(c)));
-    }
-    if let Some(icn) = m.icn {
-        let name = match icn {
-            IcnKind::Mesh => "mesh",
-            IcnKind::FatTree => "fat-tree",
-            IcnKind::LeafSpine => "leaf-spine",
-        };
-        pairs.push(("icn", Json::Str(name.to_string())));
-    }
-    obj(pairs)
-}
 
-fn workload_to_json(w: &WorkloadSpec) -> Json {
-    match *w {
-        WorkloadSpec::SocialMix => obj(vec![("type", Json::Str("social-mix".into()))]),
-        WorkloadSpec::TrainMix => obj(vec![("type", Json::Str("train-mix".into()))]),
-        WorkloadSpec::Synthetic {
-            mean_us,
-            scv,
-            min_rpcs,
-            max_rpcs,
-        } => obj(vec![
-            ("type", Json::Str("synthetic".into())),
-            ("mean_us", num_json(mean_us)),
-            ("scv", num_json(scv)),
-            ("min_rpcs", uint_json(min_rpcs as u64)),
-            ("max_rpcs", uint_json(max_rpcs as u64)),
-        ]),
+    /// The value of a field whose key `key` is absent from the object at
+    /// `path`: an error for every required field.
+    ///
+    /// # Errors
+    ///
+    /// Returns the missing-field message unless the field is optional.
+    fn missing(path: &str, key: &str) -> Result<Self, String> {
+        Err(format!("{path}: missing field `{key}`"))
     }
 }
 
-fn scale_to_json(s: &Scale) -> Json {
-    obj(vec![
-        ("horizon_us", num_json(s.horizon_us)),
-        ("warmup_us", num_json(s.warmup_us)),
-        ("servers", uint_json(s.servers as u64)),
-        ("seed", uint_json(s.seed)),
-    ])
+/// Checks that `v` is an object whose keys all appear in `allowed`.
+///
+/// # Errors
+///
+/// Returns `{path}: expected an object` or ``{path}: unknown field `k` ``.
+pub fn check_keys(v: &Json, path: &str, allowed: &[&str]) -> Result<(), String> {
+    let pairs = v
+        .as_obj()
+        .ok_or_else(|| format!("{path}: expected an object"))?;
+    match pairs.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+        Some((k, _)) => Err(format!("{path}: unknown field `{k}`")),
+        None => Ok(()),
+    }
 }
 
-fn mitigation_to_json(m: &MitigationSpec) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(d) = m.hedge_delay_us {
-        pairs.push(("hedge_delay_us", num_json(d)));
+/// Reads field `key` of the object at `path`.
+fn field<T: Field>(v: &Json, path: &str, key: &str) -> Result<T, String> {
+    match v.get(key) {
+        Some(x) => T::read(x, &format!("{path}.{key}")),
+        None => T::missing(path, key),
     }
-    if let Some(r) = m.retry {
-        pairs.push((
-            "retry",
-            obj(vec![
-                ("timeout_us", num_json(r.timeout_us)),
-                ("backoff", num_json(r.backoff)),
-                ("max_attempts", uint_json(r.max_attempts as u64)),
-                ("budget_fraction", num_json(r.budget_fraction)),
-            ]),
-        ));
-    }
-    pairs.push(("steer", Json::Bool(m.steer)));
-    obj(pairs)
 }
 
-fn routing_to_json(r: &NamedRouting) -> Json {
-    let mut pairs = vec![("name", Json::Str(r.name.clone()))];
-    match r.policy {
-        RoutingPolicy::Random => pairs.push(("policy", Json::Str("random".into()))),
-        RoutingPolicy::RoundRobin => pairs.push(("policy", Json::Str("round-robin".into()))),
-        RoutingPolicy::JsqD { d } => {
-            pairs.push(("policy", Json::Str("jsq".into())));
-            pairs.push(("d", uint_json(d as u64)));
+/// Appends field `key` to an object under construction unless omitted.
+fn put<T: Field>(pairs: &mut Vec<(&'static str, Json)>, key: &'static str, value: &T) {
+    if !value.omitted() {
+        pairs.push((key, value.write()));
+    }
+}
+
+impl Field for f64 {
+    fn write(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        v.as_num()
+            .ok_or_else(|| format!("{path}: expected a number"))
+    }
+}
+
+/// Integers must be exact in JSON's f64: nonnegative, integral and below
+/// 2^53.
+impl Field for u64 {
+    fn write(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        let n = f64::read(v, path)?;
+        if !(n >= 0.0 && n.fract() == 0.0 && n < MAX_EXACT_INT as f64) {
+            return Err(format!("{path}: expected an exact nonnegative integer"));
         }
-        RoutingPolicy::CentralQueue => pairs.push(("policy", Json::Str("central-queue".into()))),
-    }
-    obj(pairs)
-}
-
-fn cluster_to_json(c: &ClusterSpec) -> Json {
-    let mut pairs = vec![
-        ("nodes", uint_json(c.nodes as u64)),
-        (
-            "routing",
-            Json::Arr(c.routing.iter().map(routing_to_json).collect()),
-        ),
-    ];
-    if let Some(cap) = c.max_in_flight {
-        pairs.push(("max_in_flight", uint_json(cap as u64)));
-    }
-    if let Some(j) = c.jitter {
-        pairs.push((
-            "jitter",
-            obj(vec![
-                ("mean_us", num_json(j.mean_us)),
-                ("scv", num_json(j.scv)),
-            ]),
-        ));
-    }
-    pairs.push(("steer", Json::Bool(c.steer)));
-    obj(pairs)
-}
-
-fn fault_to_json(f: &FaultRecipe) -> Json {
-    match *f {
-        FaultRecipe::MessageDrops { probability } => obj(vec![
-            ("type", Json::Str("message-drops".into())),
-            ("probability", num_json(probability)),
-        ]),
-        FaultRecipe::CoreFailStop {
-            server,
-            village,
-            at_cycles,
-        } => obj(vec![
-            ("type", Json::Str("core-fail-stop".into())),
-            ("server", uint_json(server as u64)),
-            ("village", uint_json(village as u64)),
-            ("at_cycles", uint_json(at_cycles)),
-        ]),
-        FaultRecipe::CoreFailSlow {
-            server,
-            village,
-            cores,
-            from_cycles,
-            until_cycles,
-            slowdown,
-        } => obj(vec![
-            ("type", Json::Str("core-fail-slow".into())),
-            ("server", uint_json(server as u64)),
-            ("village", uint_json(village as u64)),
-            ("cores", uint_json(cores as u64)),
-            ("from_cycles", uint_json(from_cycles)),
-            ("until_cycles", uint_json(until_cycles)),
-            ("slowdown", num_json(slowdown)),
-        ]),
-        FaultRecipe::LinkFault {
-            server,
-            link,
-            from_cycles,
-            until_cycles,
-            slowdown,
-        } => obj(vec![
-            ("type", Json::Str("link-fault".into())),
-            ("server", uint_json(server as u64)),
-            ("link", uint_json(link as u64)),
-            ("from_cycles", uint_json(from_cycles)),
-            ("until_cycles", uint_json(until_cycles)),
-            ("slowdown", num_json(slowdown)),
-        ]),
-        FaultRecipe::FailSlowEveryVillage {
-            servers,
-            villages,
-            cores,
-            from_cycles,
-            until_cycles,
-            slowdown,
-        } => obj(vec![
-            ("type", Json::Str("fail-slow-every-village".into())),
-            ("servers", uint_json(servers as u64)),
-            ("villages", uint_json(villages as u64)),
-            ("cores", uint_json(cores as u64)),
-            ("from_cycles", uint_json(from_cycles)),
-            ("until_cycles", uint_json(until_cycles)),
-            ("slowdown", num_json(slowdown)),
-        ]),
-        FaultRecipe::RandomFailStops {
-            count,
-            servers,
-            villages,
-            horizon_cycles,
-        } => obj(vec![
-            ("type", Json::Str("random-fail-stops".into())),
-            ("count", uint_json(count as u64)),
-            ("servers", uint_json(servers as u64)),
-            ("villages", uint_json(villages as u64)),
-            ("horizon_cycles", uint_json(horizon_cycles)),
-        ]),
-        FaultRecipe::RandomLinkFaults {
-            count,
-            servers,
-            links,
-            horizon_cycles,
-            mean_duration_cycles,
-            slowdown,
-        } => obj(vec![
-            ("type", Json::Str("random-link-faults".into())),
-            ("count", uint_json(count as u64)),
-            ("servers", uint_json(servers as u64)),
-            ("links", uint_json(links as u64)),
-            ("horizon_cycles", uint_json(horizon_cycles)),
-            ("mean_duration_cycles", uint_json(mean_duration_cycles)),
-            ("slowdown", num_json(slowdown)),
-        ]),
+        Ok(n as u64)
     }
 }
 
-fn named_machines_to_json(machines: &[NamedMachine]) -> Json {
-    Json::Arr(
-        machines
+impl Field for usize {
+    fn write(&self) -> Json {
+        (*self as u64).write()
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        Ok(u64::read(v, path)? as usize)
+    }
+}
+
+impl Field for u32 {
+    fn write(&self) -> Json {
+        u64::from(*self).write()
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        u32::try_from(u64::read(v, path)?)
+            .map_err(|_| format!("{path}: value does not fit in 32 bits"))
+    }
+}
+
+impl Field for bool {
+    fn write(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        match v {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(format!("{path}: expected a boolean")),
+        }
+    }
+}
+
+impl Field for String {
+    fn write(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| format!("{path}: expected a string"))
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self) -> Json {
+        Json::Arr(self.iter().map(T::write).collect())
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        v.as_arr()
+            .ok_or_else(|| format!("{path}: expected an array"))?
             .iter()
-            .map(|m| {
-                obj(vec![
-                    ("name", Json::Str(m.name.clone())),
-                    ("machine", machine_to_json(&m.machine)),
-                ])
-            })
-            .collect(),
-    )
+            .enumerate()
+            .map(|(i, e)| T::read(e, &format!("{path}[{i}]")))
+            .collect()
+    }
 }
 
-fn kind_to_json(k: &ScenarioKind) -> Json {
-    match k {
-        ScenarioKind::MachineCompare { loads, machines } => obj(vec![
-            ("type", Json::Str("machine-compare".into())),
-            (
-                "loads",
-                Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
+impl<T: Field> Field for Option<T> {
+    fn write(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::write)
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        T::read(v, path).map(Some)
+    }
+    fn omitted(&self) -> bool {
+        self.is_none()
+    }
+    fn missing(_: &str, _: &str) -> Result<Self, String> {
+        Ok(None)
+    }
+}
+
+/// A topology shape, `[cores_per_village, villages_per_cluster, clusters]`.
+impl Field for [usize; 3] {
+    fn write(&self) -> Json {
+        self.to_vec().write()
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        <[usize; 3]>::try_from(Vec::read(v, path)?).map_err(|_| {
+            format!("{path}: expected [cores_per_village, villages_per_cluster, clusters]")
+        })
+    }
+}
+
+/// A struct as an object with its fields in table order; unknown keys
+/// are rejected.
+macro_rules! record {
+    ($ty:ident { $($f:ident),* $(,)? }) => {
+        impl Field for $ty {
+            fn write(&self) -> Json {
+                let mut pairs = Vec::new();
+                $(put(&mut pairs, stringify!($f), &self.$f);)*
+                obj(pairs)
+            }
+            fn read(v: &Json, path: &str) -> Result<Self, String> {
+                check_keys(v, path, &[$(stringify!($f)),*])?;
+                Ok($ty { $($f: field(v, path, stringify!($f))?,)* })
+            }
+        }
+    };
+}
+
+/// An enum as an object whose `type` tag names the variant, followed by
+/// the variant's fields in table order.
+macro_rules! tagged {
+    ($ty:ident, $what:literal { $($tag:literal => $var:ident $({ $($f:ident),* })?,)* }) => {
+        impl Field for $ty {
+            fn write(&self) -> Json {
+                match self {
+                    $($ty::$var $({ $($f),* })? => {
+                        #[allow(unused_mut)]
+                        let mut pairs = vec![("type", Json::Str($tag.to_string()))];
+                        $($(put(&mut pairs, stringify!($f), $f);)*)?
+                        obj(pairs)
+                    })*
+                }
+            }
+            fn read(v: &Json, path: &str) -> Result<Self, String> {
+                match field::<String>(v, path, "type")?.as_str() {
+                    $($tag => {
+                        check_keys(v, path, &["type" $($(, stringify!($f))*)?])?;
+                        Ok($ty::$var $({ $($f: field(v, path, stringify!($f))?),* })?)
+                    })*
+                    other => Err(format!("{path}.type: unknown {} `{other}`", $what)),
+                }
+            }
+        }
+    };
+}
+
+/// A fieldless enum as one of a fixed set of strings.
+macro_rules! names {
+    ($ty:ident, $what:literal { $($name:literal => $var:ident,)* }) => {
+        impl Field for $ty {
+            fn write(&self) -> Json {
+                Json::Str(match self { $($ty::$var => $name,)* }.to_string())
+            }
+            fn read(v: &Json, path: &str) -> Result<Self, String> {
+                match String::read(v, path)?.as_str() {
+                    $($name => Ok($ty::$var),)*
+                    other => Err(format!("{path}: unknown {} `{other}`", $what)),
+                }
+            }
+        }
+    };
+}
+
+names!(MachineBase, "machine" {
+    "umanycore" => Umanycore,
+    "scaleout" => Scaleout,
+    "server-class-iso-power" => ServerClassIsoPower,
+    "server-class-iso-area" => ServerClassIsoArea,
+});
+names!(IcnKind, "interconnect" {
+    "mesh" => Mesh,
+    "fat-tree" => FatTree,
+    "leaf-spine" => LeafSpine,
+});
+record!(MachineSpec {
+    base,
+    shape,
+    rq_capacity,
+    ctx_switch_cycles,
+    icn
+});
+tagged!(WorkloadSpec, "workload" {
+    "social-mix" => SocialMix,
+    "train-mix" => TrainMix,
+    "synthetic" => Synthetic { mean_us, scv, min_rpcs, max_rpcs },
+});
+record!(Scale {
+    horizon_us,
+    warmup_us,
+    servers,
+    seed
+});
+record!(RetrySpec {
+    timeout_us,
+    backoff,
+    max_attempts,
+    budget_fraction
+});
+record!(MitigationSpec {
+    hedge_delay_us,
+    retry,
+    steer
+});
+record!(JitterSpec { mean_us, scv });
+record!(ClusterSpec {
+    nodes,
+    routing,
+    max_in_flight,
+    jitter,
+    steer
+});
+tagged!(FaultRecipe, "fault" {
+    "message-drops" => MessageDrops { probability },
+    "core-fail-stop" => CoreFailStop { server, village, at_cycles },
+    "core-fail-slow" => CoreFailSlow { server, village, cores, from_cycles, until_cycles, slowdown },
+    "link-fault" => LinkFault { server, link, from_cycles, until_cycles, slowdown },
+    "fail-slow-every-village" => FailSlowEveryVillage {
+        servers, villages, cores, from_cycles, until_cycles, slowdown
+    },
+    "random-fail-stops" => RandomFailStops { count, servers, villages, horizon_cycles },
+    "random-link-faults" => RandomLinkFaults {
+        count, servers, links, horizon_cycles, mean_duration_cycles, slowdown
+    },
+});
+record!(NamedMachine { name, machine });
+record!(NamedPolicy { name, mitigation });
+record!(GridSpec {
+    loads,
+    seeds,
+    nodes,
+    policies
+});
+record!(Scenario {
+    name,
+    kind,
+    machine,
+    workload,
+    scale,
+    faults,
+    mitigation,
+    cluster
+});
+
+/// `{name, policy, d}`, with `d` present exactly for `jsq`.
+impl Field for NamedRouting {
+    fn write(&self) -> Json {
+        let policy = match self.policy {
+            RoutingPolicy::Random => "random",
+            RoutingPolicy::RoundRobin => "round-robin",
+            RoutingPolicy::JsqD { .. } => "jsq",
+            RoutingPolicy::CentralQueue => "central-queue",
+        };
+        let mut pairs = vec![
+            ("name", self.name.write()),
+            ("policy", Json::Str(policy.to_string())),
+        ];
+        if let RoutingPolicy::JsqD { d } = self.policy {
+            pairs.push(("d", d.write()));
+        }
+        obj(pairs)
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        check_keys(v, path, &["name", "policy", "d"])?;
+        let name = field(v, path, "name")?;
+        let policy = match field::<String>(v, path, "policy")?.as_str() {
+            "random" => RoutingPolicy::Random,
+            "round-robin" => RoutingPolicy::RoundRobin,
+            "jsq" => RoutingPolicy::JsqD {
+                d: field(v, path, "d")?,
+            },
+            "central-queue" => RoutingPolicy::CentralQueue,
+            other => return Err(format!("{path}.policy: unknown policy `{other}`")),
+        };
+        if !matches!(policy, RoutingPolicy::JsqD { .. }) && v.get("d").is_some() {
+            return Err(format!("{path}.d: only valid with the `jsq` policy"));
+        }
+        Ok(NamedRouting { name, policy })
+    }
+}
+
+/// A `type`-tagged object; the grid's fields sit beside the tag.
+impl Field for ScenarioKind {
+    fn write(&self) -> Json {
+        let (tag, body) = match self {
+            ScenarioKind::MachineCompare { loads, machines } => (
+                "machine-compare",
+                obj(vec![
+                    ("loads", loads.write()),
+                    ("machines", machines.write()),
+                ]),
             ),
-            ("machines", named_machines_to_json(machines)),
-        ]),
-        ScenarioKind::Grid(g) => obj(vec![
-            ("type", Json::Str("grid".into())),
-            (
-                "loads",
-                Json::Arr(g.loads.iter().map(|&l| num_json(l)).collect()),
-            ),
-            (
-                "seeds",
-                Json::Arr(g.seeds.iter().map(|&s| uint_json(s)).collect()),
-            ),
-            (
-                "nodes",
-                Json::Arr(g.nodes.iter().map(|&n| uint_json(n as u64)).collect()),
-            ),
-            (
-                "policies",
-                Json::Arr(
-                    g.policies
-                        .iter()
-                        .map(|p| {
-                            obj(vec![
-                                ("name", Json::Str(p.name.clone())),
-                                ("mitigation", mitigation_to_json(&p.mitigation)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
+            ScenarioKind::Grid(g) => ("grid", g.write()),
+        };
+        let Json::Obj(mut pairs) = body else {
+            unreachable!("kinds write objects")
+        };
+        pairs.insert(0, ("type".to_string(), Json::Str(tag.to_string())));
+        Json::Obj(pairs)
+    }
+    fn read(v: &Json, path: &str) -> Result<Self, String> {
+        let tag: String = field(v, path, "type")?;
+        // What remains once the tag is read is the kind's own record.
+        let body = Json::Obj(
+            v.as_obj()
+                .unwrap_or_default()
+                .iter()
+                .filter(|(k, _)| k != "type")
+                .cloned()
+                .collect(),
+        );
+        match tag.as_str() {
+            "machine-compare" => {
+                check_keys(&body, path, &["loads", "machines"])?;
+                Ok(ScenarioKind::MachineCompare {
+                    loads: field(&body, path, "loads")?,
+                    machines: field(&body, path, "machines")?,
+                })
+            }
+            "grid" => GridSpec::read(&body, path).map(ScenarioKind::Grid),
+            other => Err(format!("{path}.type: unknown scenario kind `{other}`")),
+        }
     }
 }
 
@@ -1371,475 +1473,14 @@ impl Scenario {
     /// omitted when absent, so serialize → parse → serialize is
     /// byte-stable).
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("name", Json::Str(self.name.clone())),
-            ("kind", kind_to_json(&self.kind)),
-            ("machine", machine_to_json(&self.machine)),
-            ("workload", workload_to_json(&self.workload)),
-            ("scale", scale_to_json(&self.scale)),
-            (
-                "faults",
-                Json::Arr(self.faults.iter().map(fault_to_json).collect()),
-            ),
-            ("mitigation", mitigation_to_json(&self.mitigation)),
-        ];
-        if let Some(c) = &self.cluster {
-            pairs.push(("cluster", cluster_to_json(c)));
-        }
-        obj(pairs)
+        self.write()
     }
 
     /// [`Scenario::to_json`] rendered to text.
     pub fn to_json_text(&self) -> String {
         self.to_json().render()
     }
-}
 
-fn p_obj<'a>(v: &'a Json, path: &str, allowed: &[&str]) -> Result<&'a Json, String> {
-    let pairs = v
-        .as_obj()
-        .ok_or_else(|| format!("{path}: expected an object"))?;
-    for (k, _) in pairs {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("{path}: unknown field `{k}`"));
-        }
-    }
-    Ok(v)
-}
-
-fn p_get<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
-    v.get(key)
-        .ok_or_else(|| format!("{path}: missing field `{key}`"))
-}
-
-fn p_num(v: &Json, path: &str) -> Result<f64, String> {
-    v.as_num()
-        .ok_or_else(|| format!("{path}: expected a number"))
-}
-
-fn p_uint(v: &Json, path: &str) -> Result<u64, String> {
-    let n = p_num(v, path)?;
-    if !(n >= 0.0 && n.fract() == 0.0 && n < MAX_EXACT_INT as f64) {
-        return Err(format!("{path}: expected an exact nonnegative integer"));
-    }
-    Ok(n as u64)
-}
-
-fn p_usize(v: &Json, path: &str) -> Result<usize, String> {
-    Ok(p_uint(v, path)? as usize)
-}
-
-fn p_u32(v: &Json, path: &str) -> Result<u32, String> {
-    u32::try_from(p_uint(v, path)?).map_err(|_| format!("{path}: value does not fit in 32 bits"))
-}
-
-fn p_str(v: &Json, path: &str) -> Result<String, String> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{path}: expected a string"))
-}
-
-fn p_bool(v: &Json, path: &str) -> Result<bool, String> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("{path}: expected a boolean")),
-    }
-}
-
-fn p_arr<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], String> {
-    v.as_arr()
-        .ok_or_else(|| format!("{path}: expected an array"))
-}
-
-fn p_f64_arr(v: &Json, path: &str) -> Result<Vec<f64>, String> {
-    p_arr(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, e)| p_num(e, &format!("{path}[{i}]")))
-        .collect()
-}
-
-fn machine_from_json(v: &Json, path: &str) -> Result<MachineSpec, String> {
-    p_obj(
-        v,
-        path,
-        &["base", "shape", "rq_capacity", "ctx_switch_cycles", "icn"],
-    )?;
-    let base = match p_str(p_get(v, path, "base")?, &format!("{path}.base"))?.as_str() {
-        "umanycore" => MachineBase::Umanycore,
-        "scaleout" => MachineBase::Scaleout,
-        "server-class-iso-power" => MachineBase::ServerClassIsoPower,
-        "server-class-iso-area" => MachineBase::ServerClassIsoArea,
-        other => return Err(format!("{path}.base: unknown machine `{other}`")),
-    };
-    let shape = match v.get("shape") {
-        None => None,
-        Some(s) => {
-            let spath = format!("{path}.shape");
-            let dims = p_arr(s, &spath)?;
-            if dims.len() != 3 {
-                return Err(format!(
-                    "{spath}: expected [cores_per_village, villages_per_cluster, clusters]"
-                ));
-            }
-            let mut out = [0usize; 3];
-            for (i, d) in dims.iter().enumerate() {
-                out[i] = p_usize(d, &format!("{spath}[{i}]"))?;
-            }
-            Some(out)
-        }
-    };
-    let rq_capacity = v
-        .get("rq_capacity")
-        .map(|n| p_usize(n, &format!("{path}.rq_capacity")))
-        .transpose()?;
-    let ctx_switch_cycles = v
-        .get("ctx_switch_cycles")
-        .map(|n| p_uint(n, &format!("{path}.ctx_switch_cycles")))
-        .transpose()?;
-    let icn = match v.get("icn") {
-        None => None,
-        Some(i) => Some(match p_str(i, &format!("{path}.icn"))?.as_str() {
-            "mesh" => IcnKind::Mesh,
-            "fat-tree" => IcnKind::FatTree,
-            "leaf-spine" => IcnKind::LeafSpine,
-            other => return Err(format!("{path}.icn: unknown interconnect `{other}`")),
-        }),
-    };
-    Ok(MachineSpec {
-        base,
-        shape,
-        rq_capacity,
-        ctx_switch_cycles,
-        icn,
-    })
-}
-
-fn workload_from_json(v: &Json, path: &str) -> Result<WorkloadSpec, String> {
-    let kind = p_str(p_get(v, path, "type")?, &format!("{path}.type"))?;
-    match kind.as_str() {
-        "social-mix" => {
-            p_obj(v, path, &["type"])?;
-            Ok(WorkloadSpec::SocialMix)
-        }
-        "train-mix" => {
-            p_obj(v, path, &["type"])?;
-            Ok(WorkloadSpec::TrainMix)
-        }
-        "synthetic" => {
-            p_obj(v, path, &["type", "mean_us", "scv", "min_rpcs", "max_rpcs"])?;
-            Ok(WorkloadSpec::Synthetic {
-                mean_us: p_num(p_get(v, path, "mean_us")?, &format!("{path}.mean_us"))?,
-                scv: p_num(p_get(v, path, "scv")?, &format!("{path}.scv"))?,
-                min_rpcs: p_u32(p_get(v, path, "min_rpcs")?, &format!("{path}.min_rpcs"))?,
-                max_rpcs: p_u32(p_get(v, path, "max_rpcs")?, &format!("{path}.max_rpcs"))?,
-            })
-        }
-        other => Err(format!("{path}.type: unknown workload `{other}`")),
-    }
-}
-
-fn scale_from_json(v: &Json, path: &str) -> Result<Scale, String> {
-    p_obj(v, path, &["horizon_us", "warmup_us", "servers", "seed"])?;
-    Ok(Scale {
-        horizon_us: p_num(p_get(v, path, "horizon_us")?, &format!("{path}.horizon_us"))?,
-        warmup_us: p_num(p_get(v, path, "warmup_us")?, &format!("{path}.warmup_us"))?,
-        servers: p_usize(p_get(v, path, "servers")?, &format!("{path}.servers"))?,
-        seed: p_uint(p_get(v, path, "seed")?, &format!("{path}.seed"))?,
-    })
-}
-
-fn mitigation_from_json(v: &Json, path: &str) -> Result<MitigationSpec, String> {
-    p_obj(v, path, &["hedge_delay_us", "retry", "steer"])?;
-    let hedge_delay_us = v
-        .get("hedge_delay_us")
-        .map(|n| p_num(n, &format!("{path}.hedge_delay_us")))
-        .transpose()?;
-    let retry = match v.get("retry") {
-        None => None,
-        Some(r) => {
-            let rpath = format!("{path}.retry");
-            p_obj(
-                r,
-                &rpath,
-                &["timeout_us", "backoff", "max_attempts", "budget_fraction"],
-            )?;
-            Some(RetrySpec {
-                timeout_us: p_num(
-                    p_get(r, &rpath, "timeout_us")?,
-                    &format!("{rpath}.timeout_us"),
-                )?,
-                backoff: p_num(p_get(r, &rpath, "backoff")?, &format!("{rpath}.backoff"))?,
-                max_attempts: p_u32(
-                    p_get(r, &rpath, "max_attempts")?,
-                    &format!("{rpath}.max_attempts"),
-                )?,
-                budget_fraction: p_num(
-                    p_get(r, &rpath, "budget_fraction")?,
-                    &format!("{rpath}.budget_fraction"),
-                )?,
-            })
-        }
-    };
-    let steer = p_bool(p_get(v, path, "steer")?, &format!("{path}.steer"))?;
-    Ok(MitigationSpec {
-        hedge_delay_us,
-        retry,
-        steer,
-    })
-}
-
-fn routing_from_json(v: &Json, path: &str) -> Result<NamedRouting, String> {
-    p_obj(v, path, &["name", "policy", "d"])?;
-    let name = p_str(p_get(v, path, "name")?, &format!("{path}.name"))?;
-    let policy = p_str(p_get(v, path, "policy")?, &format!("{path}.policy"))?;
-    let policy = match policy.as_str() {
-        "random" => RoutingPolicy::Random,
-        "round-robin" => RoutingPolicy::RoundRobin,
-        "jsq" => RoutingPolicy::JsqD {
-            d: p_usize(p_get(v, path, "d")?, &format!("{path}.d"))?,
-        },
-        "central-queue" => RoutingPolicy::CentralQueue,
-        other => return Err(format!("{path}.policy: unknown policy `{other}`")),
-    };
-    if !matches!(policy, RoutingPolicy::JsqD { .. }) && v.get("d").is_some() {
-        return Err(format!("{path}.d: only valid with the `jsq` policy"));
-    }
-    Ok(NamedRouting { name, policy })
-}
-
-fn cluster_from_json(v: &Json, path: &str) -> Result<ClusterSpec, String> {
-    p_obj(
-        v,
-        path,
-        &["nodes", "routing", "max_in_flight", "jitter", "steer"],
-    )?;
-    let routing = p_arr(p_get(v, path, "routing")?, &format!("{path}.routing"))?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| routing_from_json(r, &format!("{path}.routing[{i}]")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let jitter = match v.get("jitter") {
-        None => None,
-        Some(j) => {
-            let jpath = format!("{path}.jitter");
-            p_obj(j, &jpath, &["mean_us", "scv"])?;
-            Some(JitterSpec {
-                mean_us: p_num(p_get(j, &jpath, "mean_us")?, &format!("{jpath}.mean_us"))?,
-                scv: p_num(p_get(j, &jpath, "scv")?, &format!("{jpath}.scv"))?,
-            })
-        }
-    };
-    Ok(ClusterSpec {
-        nodes: p_usize(p_get(v, path, "nodes")?, &format!("{path}.nodes"))?,
-        routing,
-        max_in_flight: v
-            .get("max_in_flight")
-            .map(|n| p_usize(n, &format!("{path}.max_in_flight")))
-            .transpose()?,
-        jitter,
-        steer: p_bool(p_get(v, path, "steer")?, &format!("{path}.steer"))?,
-    })
-}
-
-fn fault_from_json(v: &Json, path: &str) -> Result<FaultRecipe, String> {
-    let kind = p_str(p_get(v, path, "type")?, &format!("{path}.type"))?;
-    let num = |key: &str| p_num(p_get(v, path, key)?, &format!("{path}.{key}"));
-    let uint = |key: &str| p_uint(p_get(v, path, key)?, &format!("{path}.{key}"));
-    let idx = |key: &str| p_usize(p_get(v, path, key)?, &format!("{path}.{key}"));
-    let u32_ = |key: &str| p_u32(p_get(v, path, key)?, &format!("{path}.{key}"));
-    match kind.as_str() {
-        "message-drops" => {
-            p_obj(v, path, &["type", "probability"])?;
-            Ok(FaultRecipe::MessageDrops {
-                probability: num("probability")?,
-            })
-        }
-        "core-fail-stop" => {
-            p_obj(v, path, &["type", "server", "village", "at_cycles"])?;
-            Ok(FaultRecipe::CoreFailStop {
-                server: idx("server")?,
-                village: idx("village")?,
-                at_cycles: uint("at_cycles")?,
-            })
-        }
-        "core-fail-slow" => {
-            p_obj(
-                v,
-                path,
-                &[
-                    "type",
-                    "server",
-                    "village",
-                    "cores",
-                    "from_cycles",
-                    "until_cycles",
-                    "slowdown",
-                ],
-            )?;
-            Ok(FaultRecipe::CoreFailSlow {
-                server: idx("server")?,
-                village: idx("village")?,
-                cores: u32_("cores")?,
-                from_cycles: uint("from_cycles")?,
-                until_cycles: uint("until_cycles")?,
-                slowdown: num("slowdown")?,
-            })
-        }
-        "link-fault" => {
-            p_obj(
-                v,
-                path,
-                &[
-                    "type",
-                    "server",
-                    "link",
-                    "from_cycles",
-                    "until_cycles",
-                    "slowdown",
-                ],
-            )?;
-            Ok(FaultRecipe::LinkFault {
-                server: idx("server")?,
-                link: idx("link")?,
-                from_cycles: uint("from_cycles")?,
-                until_cycles: uint("until_cycles")?,
-                slowdown: num("slowdown")?,
-            })
-        }
-        "fail-slow-every-village" => {
-            p_obj(
-                v,
-                path,
-                &[
-                    "type",
-                    "servers",
-                    "villages",
-                    "cores",
-                    "from_cycles",
-                    "until_cycles",
-                    "slowdown",
-                ],
-            )?;
-            Ok(FaultRecipe::FailSlowEveryVillage {
-                servers: idx("servers")?,
-                villages: idx("villages")?,
-                cores: u32_("cores")?,
-                from_cycles: uint("from_cycles")?,
-                until_cycles: uint("until_cycles")?,
-                slowdown: num("slowdown")?,
-            })
-        }
-        "random-fail-stops" => {
-            p_obj(
-                v,
-                path,
-                &["type", "count", "servers", "villages", "horizon_cycles"],
-            )?;
-            Ok(FaultRecipe::RandomFailStops {
-                count: idx("count")?,
-                servers: idx("servers")?,
-                villages: idx("villages")?,
-                horizon_cycles: uint("horizon_cycles")?,
-            })
-        }
-        "random-link-faults" => {
-            p_obj(
-                v,
-                path,
-                &[
-                    "type",
-                    "count",
-                    "servers",
-                    "links",
-                    "horizon_cycles",
-                    "mean_duration_cycles",
-                    "slowdown",
-                ],
-            )?;
-            Ok(FaultRecipe::RandomLinkFaults {
-                count: idx("count")?,
-                servers: idx("servers")?,
-                links: idx("links")?,
-                horizon_cycles: uint("horizon_cycles")?,
-                mean_duration_cycles: uint("mean_duration_cycles")?,
-                slowdown: num("slowdown")?,
-            })
-        }
-        other => Err(format!("{path}.type: unknown fault `{other}`")),
-    }
-}
-
-fn named_machines_from_json(v: &Json, path: &str) -> Result<Vec<NamedMachine>, String> {
-    p_arr(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let mpath = format!("{path}[{i}]");
-            p_obj(m, &mpath, &["name", "machine"])?;
-            Ok(NamedMachine {
-                name: p_str(p_get(m, &mpath, "name")?, &format!("{mpath}.name"))?,
-                machine: machine_from_json(
-                    p_get(m, &mpath, "machine")?,
-                    &format!("{mpath}.machine"),
-                )?,
-            })
-        })
-        .collect()
-}
-
-fn kind_from_json(v: &Json, path: &str) -> Result<ScenarioKind, String> {
-    let kind = p_str(p_get(v, path, "type")?, &format!("{path}.type"))?;
-    match kind.as_str() {
-        "machine-compare" => {
-            p_obj(v, path, &["type", "loads", "machines"])?;
-            Ok(ScenarioKind::MachineCompare {
-                loads: p_f64_arr(p_get(v, path, "loads")?, &format!("{path}.loads"))?,
-                machines: named_machines_from_json(
-                    p_get(v, path, "machines")?,
-                    &format!("{path}.machines"),
-                )?,
-            })
-        }
-        "grid" => {
-            p_obj(v, path, &["type", "loads", "seeds", "nodes", "policies"])?;
-            let seeds = p_arr(p_get(v, path, "seeds")?, &format!("{path}.seeds"))?
-                .iter()
-                .enumerate()
-                .map(|(i, s)| p_uint(s, &format!("{path}.seeds[{i}]")))
-                .collect::<Result<Vec<_>, _>>()?;
-            let nodes = p_arr(p_get(v, path, "nodes")?, &format!("{path}.nodes"))?
-                .iter()
-                .enumerate()
-                .map(|(i, n)| p_usize(n, &format!("{path}.nodes[{i}]")))
-                .collect::<Result<Vec<_>, _>>()?;
-            let policies = p_arr(p_get(v, path, "policies")?, &format!("{path}.policies"))?
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let ppath = format!("{path}.policies[{i}]");
-                    p_obj(p, &ppath, &["name", "mitigation"])?;
-                    Ok(NamedPolicy {
-                        name: p_str(p_get(p, &ppath, "name")?, &format!("{ppath}.name"))?,
-                        mitigation: mitigation_from_json(
-                            p_get(p, &ppath, "mitigation")?,
-                            &format!("{ppath}.mitigation"),
-                        )?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(ScenarioKind::Grid(GridSpec {
-                loads: p_f64_arr(p_get(v, path, "loads")?, &format!("{path}.loads"))?,
-                seeds,
-                nodes,
-                policies,
-            }))
-        }
-        other => Err(format!("{path}.type: unknown scenario kind `{other}`")),
-    }
-}
-
-impl Scenario {
     /// Parses the canonical document, rejecting unknown fields with the
     /// offending path, then validates every knob.
     ///
@@ -1847,46 +1488,7 @@ impl Scenario {
     ///
     /// Returns the first structural or range violation.
     pub fn from_json(doc: &Json) -> Result<Scenario, String> {
-        let path = "scenario";
-        p_obj(
-            doc,
-            path,
-            &[
-                "name",
-                "kind",
-                "machine",
-                "workload",
-                "scale",
-                "faults",
-                "mitigation",
-                "cluster",
-            ],
-        )?;
-        let faults = p_arr(p_get(doc, path, "faults")?, &format!("{path}.faults"))?
-            .iter()
-            .enumerate()
-            .map(|(i, f)| fault_from_json(f, &format!("{path}.faults[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let cluster = doc
-            .get("cluster")
-            .map(|c| cluster_from_json(c, &format!("{path}.cluster")))
-            .transpose()?;
-        let s = Scenario {
-            name: p_str(p_get(doc, path, "name")?, &format!("{path}.name"))?,
-            kind: kind_from_json(p_get(doc, path, "kind")?, &format!("{path}.kind"))?,
-            machine: machine_from_json(p_get(doc, path, "machine")?, &format!("{path}.machine"))?,
-            workload: workload_from_json(
-                p_get(doc, path, "workload")?,
-                &format!("{path}.workload"),
-            )?,
-            scale: scale_from_json(p_get(doc, path, "scale")?, &format!("{path}.scale"))?,
-            faults,
-            mitigation: mitigation_from_json(
-                p_get(doc, path, "mitigation")?,
-                &format!("{path}.mitigation"),
-            )?,
-            cluster,
-        };
+        let s = Scenario::read(doc, "scenario")?;
         s.validate()?;
         Ok(s)
     }
@@ -2074,11 +1676,14 @@ mod tests {
         assert_eq!(s.scale.seed, 7);
         let points = s.expand().expect("valid scenario");
         assert_eq!(points.len(), 24);
-        assert!(points.iter().all(|p| p.as_node().is_some()));
-        // Distinct axis seeds derive distinct per-point seeds.
+        // Every point is a node run, and distinct axis seeds derive
+        // distinct per-point seeds.
         let seeds: std::collections::BTreeSet<u64> = points
             .iter()
-            .map(|p| p.as_node().expect("node point").seed)
+            .map(|p| match p {
+                PointConfig::Node(cfg) => cfg.seed,
+                PointConfig::Cluster(_) => panic!("a grid without nodes runs node points"),
+            })
             .collect();
         assert_eq!(seeds.len(), 8, "4 loads x 2 seed-axis values");
     }

@@ -125,3 +125,25 @@ fn every_registry_scenario_expands_and_round_trips() {
         );
     }
 }
+
+// -----------------------------------------------------------------
+// Benchmark inputs stay canonical
+// -----------------------------------------------------------------
+
+/// The benchmark's scenario documents parse, validate and are already in
+/// canonical form: re-rendering reproduces each file byte for byte.
+#[test]
+fn perf_scenario_documents_are_canonical() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../perf/scenarios");
+    for name in ["node-um", "rack-512", "serve-job"] {
+        let path = dir.join(format!("{name}.json"));
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let s = Scenario::from_json_text(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            s.to_json_text().trim_end(),
+            text.trim_end(),
+            "{name}: not in canonical form"
+        );
+    }
+}

@@ -9,9 +9,10 @@
 
 use proptest::prelude::*;
 use um_arch::config::IcnKind;
+use um_bench::benchjson::Json;
 use um_bench::scenario::{
-    ClusterSpec, GridSpec, JitterSpec, MachineBase, MachineSpec, MitigationSpec, NamedMachine,
-    NamedPolicy, NamedRouting, RetrySpec, Scenario, ScenarioKind, WorkloadSpec,
+    registry, ClusterSpec, GridSpec, JitterSpec, MachineBase, MachineSpec, MitigationSpec,
+    NamedMachine, NamedPolicy, NamedRouting, RetrySpec, Scenario, ScenarioKind, WorkloadSpec,
 };
 use um_sim::fault::FaultRecipe;
 use umanycore::experiments::Scale;
@@ -123,6 +124,12 @@ fn mitigation_strategy() -> impl Strategy<Value = MitigationSpec> {
         })
 }
 
+/// Fault windows: a start and a positive duration, so `from < until`.
+fn window_strategy() -> impl Strategy<Value = (u64, u64)> {
+    (0u64..1_000_000, 1u64..1_000_000).prop_map(|(from, duration)| (from, from + duration))
+}
+
+/// Every [`FaultRecipe`] variant, valid by construction.
 fn fault_strategy() -> impl Strategy<Value = FaultRecipe> {
     prop_oneof![
         (0.0f64..0.99).prop_map(|probability| FaultRecipe::MessageDrops { probability }),
@@ -137,18 +144,73 @@ fn fault_strategy() -> impl Strategy<Value = FaultRecipe> {
             0usize..4,
             0usize..32,
             1u32..8,
-            0u64..1_000_000,
-            1u64..1_000_000,
+            window_strategy(),
             1.0f64..20.0
         )
             .prop_map(
-                |(server, village, cores, from_cycles, duration, slowdown)| {
+                |(server, village, cores, (from_cycles, until_cycles), slowdown)| {
                     FaultRecipe::CoreFailSlow {
                         server,
                         village,
                         cores,
                         from_cycles,
-                        until_cycles: from_cycles + duration,
+                        until_cycles,
+                        slowdown,
+                    }
+                }
+            ),
+        (0usize..4, 0usize..64, window_strategy(), 1.0f64..20.0).prop_map(
+            |(server, link, (from_cycles, until_cycles), slowdown)| FaultRecipe::LinkFault {
+                server,
+                link,
+                from_cycles,
+                until_cycles,
+                slowdown,
+            }
+        ),
+        (
+            1usize..4,
+            1usize..32,
+            1u32..8,
+            window_strategy(),
+            1.0f64..20.0
+        )
+            .prop_map(
+                |(servers, villages, cores, (from_cycles, until_cycles), slowdown)| {
+                    FaultRecipe::FailSlowEveryVillage {
+                        servers,
+                        villages,
+                        cores,
+                        from_cycles,
+                        until_cycles,
+                        slowdown,
+                    }
+                }
+            ),
+        (0usize..8, 1usize..4, 1usize..32, 1u64..1_000_000).prop_map(
+            |(count, servers, villages, horizon_cycles)| FaultRecipe::RandomFailStops {
+                count,
+                servers,
+                villages,
+                horizon_cycles,
+            }
+        ),
+        (
+            0usize..8,
+            1usize..4,
+            1usize..64,
+            1u64..1_000_000,
+            1u64..100_000,
+            1.0f64..20.0
+        )
+            .prop_map(
+                |(count, servers, links, horizon_cycles, mean_duration_cycles, slowdown)| {
+                    FaultRecipe::RandomLinkFaults {
+                        count,
+                        servers,
+                        links,
+                        horizon_cycles,
+                        mean_duration_cycles,
                         slowdown,
                     }
                 }
@@ -299,6 +361,200 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
 }
 
 // -----------------------------------------------------------------
+// Document surgery
+// -----------------------------------------------------------------
+
+/// Objects in `doc`, counted in document order.
+fn count_objects(doc: &Json) -> usize {
+    match doc {
+        Json::Obj(pairs) => 1 + pairs.iter().map(|(_, v)| count_objects(v)).sum::<usize>(),
+        Json::Arr(items) => items.iter().map(count_objects).sum(),
+        _ => 0,
+    }
+}
+
+/// Adds `key: 1` to the `n`-th object of `doc` (document order) and
+/// returns the field path the codec reports for that object.
+fn splice_nth(doc: &mut Json, path: &str, n: &mut usize, key: &str) -> Option<String> {
+    match doc {
+        Json::Obj(pairs) => {
+            if *n == 0 {
+                pairs.push((key.to_string(), Json::Num(1.0)));
+                return Some(path.to_string());
+            }
+            *n -= 1;
+            pairs
+                .iter_mut()
+                .find_map(|(k, v)| splice_nth(v, &format!("{path}.{k}"), n, key))
+        }
+        Json::Arr(items) => items
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, v)| splice_nth(v, &format!("{path}[{i}]"), n, key)),
+        _ => None,
+    }
+}
+
+/// The value at a dotted path (`kind.policies.1.mitigation`); numeric
+/// segments index arrays, the empty path is the document itself.
+fn node<'a>(doc: &'a mut Json, path: &str) -> &'a mut Json {
+    path.split('.')
+        .filter(|seg| !seg.is_empty())
+        .fold(doc, |v, seg| match v {
+            Json::Obj(pairs) => {
+                &mut pairs
+                    .iter_mut()
+                    .find(|(k, _)| k == seg)
+                    .unwrap_or_else(|| panic!("no field `{seg}`"))
+                    .1
+            }
+            Json::Arr(items) => &mut items[seg.parse::<usize>().expect("array index")],
+            _ => panic!("`{seg}`: not a container"),
+        })
+}
+
+// -----------------------------------------------------------------
+// Error-string goldens
+// -----------------------------------------------------------------
+
+/// A valid rack grid whose canonical document holds every object the
+/// goldens edit: a fault, a retry policy and a `random` routing.
+fn golden_base() -> Json {
+    let mut s = registry::sweep_default();
+    s.machine.rq_capacity = Some(512);
+    if let ScenarioKind::Grid(g) = &mut s.kind {
+        g.nodes = vec![2];
+    }
+    s.cluster = Some(ClusterSpec {
+        nodes: 2,
+        routing: vec![NamedRouting {
+            name: "random".to_string(),
+            policy: RoutingPolicy::Random,
+        }],
+        max_in_flight: None,
+        jitter: None,
+        steer: false,
+    });
+    s.validate().expect("golden base is valid");
+    s.to_json()
+}
+
+/// One defect per document: `(object path, key, new value or None to
+/// delete the key, the exact error)`. The value is JSON text.
+const GOLDENS: &[(&str, &str, Option<&str>, &str)] = &[
+    (
+        "scale",
+        "horizon_us",
+        None,
+        "scenario.scale: missing field `horizon_us`",
+    ),
+    ("", "name", Some("5"), "scenario.name: expected a string"),
+    (
+        "cluster",
+        "steer",
+        Some("\"yes\""),
+        "scenario.cluster.steer: expected a boolean",
+    ),
+    (
+        "kind",
+        "loads",
+        Some("7"),
+        "scenario.kind.loads: expected an array",
+    ),
+    (
+        "workload",
+        "type",
+        Some("\"spiky\""),
+        "scenario.workload.type: unknown workload `spiky`",
+    ),
+    (
+        "faults.0",
+        "type",
+        Some("\"meteor\""),
+        "scenario.faults[0].type: unknown fault `meteor`",
+    ),
+    (
+        "kind",
+        "type",
+        Some("\"bogus\""),
+        "scenario.kind.type: unknown scenario kind `bogus`",
+    ),
+    (
+        "machine",
+        "base",
+        Some("\"cray\""),
+        "scenario.machine.base: unknown machine `cray`",
+    ),
+    (
+        "machine",
+        "icn",
+        Some("\"torus\""),
+        "scenario.machine.icn: unknown interconnect `torus`",
+    ),
+    (
+        "scale",
+        "seed",
+        Some("1.5"),
+        "scenario.scale.seed: expected an exact nonnegative integer",
+    ),
+    (
+        "kind.policies.1.mitigation.retry",
+        "max_attempts",
+        Some("8589934592"),
+        "scenario.kind.policies[1].mitigation.retry.max_attempts: value does not fit in 32 bits",
+    ),
+    (
+        "machine",
+        "shape",
+        Some("[8, 2]"),
+        "scenario.machine.shape: expected [cores_per_village, villages_per_cluster, clusters]",
+    ),
+    (
+        "cluster.routing.0",
+        "d",
+        Some("2"),
+        "scenario.cluster.routing[0].d: only valid with the `jsq` policy",
+    ),
+    (
+        "",
+        "machine",
+        Some("\"umanycore\""),
+        "scenario.machine: expected an object",
+    ),
+    (
+        "workload",
+        "extra",
+        Some("1"),
+        "scenario.workload: unknown field `extra`",
+    ),
+];
+
+#[test]
+fn single_defect_documents_report_their_exact_error() {
+    Scenario::from_json(&golden_base()).expect("the unedited base parses");
+    for &(path, key, value, expected) in GOLDENS {
+        let mut doc = golden_base();
+        let Json::Obj(pairs) = node(&mut doc, path) else {
+            panic!("{path}: not an object");
+        };
+        let slot = pairs.iter().position(|(k, _)| k == key);
+        match (
+            value.map(|v| Json::parse(v).expect("golden value is JSON")),
+            slot,
+        ) {
+            (Some(v), Some(i)) => pairs[i].1 = v,
+            (Some(v), None) => pairs.push((key.to_string(), v)),
+            (None, Some(i)) => {
+                pairs.remove(i);
+            }
+            (None, None) => panic!("{path}.{key}: nothing to delete"),
+        }
+        let err = Scenario::from_json(&doc).expect_err(expected);
+        assert_eq!(err, expected, "{path}.{key}");
+    }
+}
+
+// -----------------------------------------------------------------
 // Properties
 // -----------------------------------------------------------------
 
@@ -344,6 +600,22 @@ proptest! {
                 "error {e:?} does not name the unknown field {bogus:?}"
             ),
         }
+    }
+
+    /// An unknown field spliced into any object of the document — the
+    /// kind, a fault, a policy's mitigation, a routing, the jitter — is
+    /// rejected with exactly that object's field path.
+    #[test]
+    fn unknown_nested_fields_name_their_exact_path(
+        s in scenario_strategy(),
+        pick in 0usize..1_000_000,
+        field in (0u64..(1 << 32)).prop_map(|n| format!("zz_{n:x}")),
+    ) {
+        let mut doc = s.to_json();
+        let mut n = pick % count_objects(&doc);
+        let path = splice_nth(&mut doc, "scenario", &mut n, &field).expect("index in range");
+        let err = Scenario::from_json(&doc).expect_err("unknown field accepted");
+        prop_assert_eq!(err, format!("{path}: unknown field `{field}`"));
     }
 
     /// Out-of-range knobs surface as validation errors with a field

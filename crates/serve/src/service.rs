@@ -21,11 +21,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use um_bench::benchjson::{obj, Json};
-use um_bench::scenario::{self, Scenario, ScenarioOutput};
-
-/// Largest integer JSON carries exactly; submission seeds above this
-/// would not round-trip.
-const MAX_EXACT_SEED: f64 = 9_007_199_254_740_992.0; // 2^53
+use um_bench::scenario::{self, check_keys, Field, Scenario, ScenarioOutput};
 
 /// Service sizing knobs.
 #[derive(Clone, Copy, Debug)]
@@ -320,23 +316,10 @@ fn parse_submission(body: &str) -> Result<Scenario, String> {
     if doc.get("scenario").is_none() {
         return Scenario::from_json(&doc);
     }
-    let pairs = doc
-        .as_obj()
-        .ok_or_else(|| "submission: expected an object".to_string())?;
-    for (k, _) in pairs {
-        if k != "scenario" && k != "seed" {
-            return Err(format!("submission: unknown field `{k}`"));
-        }
-    }
+    check_keys(&doc, "submission", &["scenario", "seed"])?;
     let mut s = Scenario::from_json(doc.get("scenario").expect("checked above"))?;
     if let Some(seed) = doc.get("seed") {
-        let n = seed
-            .as_num()
-            .ok_or_else(|| "submission.seed: expected a number".to_string())?;
-        if !(n >= 0.0 && n.fract() == 0.0 && n < MAX_EXACT_SEED) {
-            return Err("submission.seed: expected an exact nonnegative integer".to_string());
-        }
-        s.scale.seed = n as u64;
+        s.scale.seed = u64::read(seed, "submission.seed")?;
         s.validate()?;
     }
     Ok(s)

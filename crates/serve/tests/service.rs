@@ -244,6 +244,34 @@ fn invalid_submissions_answer_400_with_field_path_errors() {
     let rejected = post(addr, "/jobs", &unknown_wrapper);
     assert_eq!(rejected.status, 400);
     assert!(rejected.body.contains("extra"), "{}", rejected.body);
+
+    // The wrapper's 400 bodies, byte for byte: the seed follows the
+    // scenario codec's exact-integer rule, and unknown wrapper keys get
+    // the codec's message.
+    let doc = tiny_scenario(1).to_json_text();
+    for (wrapper, error) in [
+        (
+            format!("{{\"scenario\": {doc}, \"seed\": -1}}"),
+            "submission.seed: expected an exact nonnegative integer",
+        ),
+        (
+            format!("{{\"scenario\": {doc}, \"seed\": 9007199254740992}}"),
+            "submission.seed: expected an exact nonnegative integer",
+        ),
+        (
+            format!("{{\"scenario\": {doc}, \"seed\": \"7\"}}"),
+            "submission.seed: expected a number",
+        ),
+        (
+            format!("{{\"scenario\": {doc}, \"extra\": true}}"),
+            "submission: unknown field `extra`",
+        ),
+    ] {
+        let resp = post(addr, "/jobs", &wrapper);
+        assert_eq!(resp.status, 400, "{error}");
+        let expected = obj(vec![("error", Json::Str(error.to_string()))]).render();
+        assert_eq!(resp.body, expected);
+    }
 }
 
 #[test]
