@@ -2,8 +2,8 @@
 //! check.
 //!
 //! Scenario documents, `um-sweep --json` point files (committed as
-//! `results/sweep_default.json`), um-serve results and `um-tidy --json`
-//! all render through this module:
+//! `results/sweep_default.json`) and um-serve results all render through
+//! this module:
 //!
 //! - [`Json`] is a minimal ordered document model (objects preserve key
 //!   order, so emitted files are deterministic without sorted maps).

@@ -21,7 +21,7 @@ use um_arch::ServiceMap;
 use um_net::{ExternalNetwork, FatTree, LeafSpine, Mesh2D, Network, NetworkConfig};
 use um_sched::{Dispatcher, MitigationConfig, RequestQueue, RetryBudget};
 use um_sim::fault::{FaultEvent, FaultPlan};
-use um_sim::trace::{Component, LatencyBreakdown, Span};
+use um_sim::trace::{Component, LatencyBreakdown};
 use um_sim::{rng as simrng, Cycles, EventQueue};
 use um_stats::Samples;
 use um_workload::{PoissonArrivals, RpcKind, ServiceId};
@@ -1229,10 +1229,11 @@ impl SystemSim {
             let waited = now - self.requests[req].enqueued_at;
             self.requests[req].queued_cycles += waited;
             self.queueing.record(waited.as_micros(self.freq()));
-            // The queue-residence span opened when the (lock-serialized)
-            // insert completed and closes at dispatch.
-            Span::open(Component::QueueWait, self.requests[req].enqueued_at)
-                .close_into(now, &mut self.requests[req].breakdown);
+            // Queue residence runs from the (lock-serialized) insert to
+            // dispatch.
+            self.requests[req]
+                .breakdown
+                .charge(Component::QueueWait, waited);
 
             // Dequeue operation: the queue lock serializes the removal on
             // software machines; hardware machines execute the Dequeue

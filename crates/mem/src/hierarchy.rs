@@ -342,6 +342,17 @@ impl MemoryHierarchy {
         }
     }
 
+    /// Pushes one more never-completing miss than the MSHR file holds.
+    ///
+    /// Exists only so sanitizer tests can verify the `mshr-leak` checker
+    /// fires; never call this from simulation code.
+    #[cfg(feature = "sim-sanitizer")]
+    #[doc(hidden)]
+    pub fn overfill_outstanding_for_sanitizer_test(&mut self) {
+        let extra = self.config.mshrs + 1;
+        self.outstanding.extend((0..extra).map(|_| Cycles::MAX));
+    }
+
     /// Per-level counters.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {

@@ -10,8 +10,8 @@
 //!   statistics ([`cache`]).
 //! - [`Tlb`]: a TLB as a page-granularity cache ([`tlb`]).
 //! - [`MemoryHierarchy`]: composes L1I/L1D/L2(/L3) and TLB levels with the
-//!   paper's round-trip latencies and an [`MshrFile`] limiting outstanding
-//!   misses ([`hierarchy`], [`mshr`]).
+//!   paper's round-trip latencies, bounding outstanding misses by the
+//!   configured MSHR count ([`hierarchy`]).
 //! - [`DramModel`]: channel/bank queueing main-memory model ([`dram`]).
 //! - [`footprint`]: handler/initialization footprint sharing (Figure 8).
 //! - [`pool`]: the per-cluster snapshot memory pool and instance boot-time
@@ -35,12 +35,10 @@ pub mod cache;
 pub mod dram;
 pub mod footprint;
 pub mod hierarchy;
-pub mod mshr;
 pub mod pool;
 pub mod tlb;
 
 pub use cache::{AccessResult, Cache, CacheConfig};
 pub use dram::DramModel;
 pub use hierarchy::{AccessKind, HierarchyConfig, MemoryHierarchy};
-pub use mshr::MshrFile;
 pub use tlb::{Tlb, TlbConfig};

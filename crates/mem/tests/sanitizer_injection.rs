@@ -1,41 +1,30 @@
 //! Deliberate-violation tests for the `sim-sanitizer` memory checkers:
-//! a leaked MSHR entry must surface at drain, and ordinary pool and
-//! hierarchy traffic must leave the registry empty.
+//! an outstanding-miss list overfilled past the MSHR count must surface
+//! on the next access, and ordinary pool and hierarchy traffic must leave
+//! the registry empty.
 #![cfg(feature = "sim-sanitizer")]
 
 use um_mem::hierarchy::{AccessKind, HierarchyConfig, MemoryHierarchy};
-use um_mem::mshr::MshrFile;
 use um_mem::pool::MemoryPool;
 use um_sim::{sanitizer, Cycles, Frequency};
 
 #[test]
-fn leaked_mshr_entry_is_reported_at_drain() {
+fn overfilled_outstanding_misses_are_reported() {
     let _ = sanitizer::take();
-    let mut m = MshrFile::new(4);
-    m.allocate(0x1000);
-    m.allocate(0x2000);
-    m.retire(0x1000);
-    // 0x2000 never retires: the drain check must name it.
-    m.check_drained("injection test");
+    let mut h = MemoryHierarchy::new(HierarchyConfig::manycore());
+    let warm = h.access(0x1000, AccessKind::DataRead, Cycles::ZERO);
+    assert_eq!(sanitizer::violation_count(), 0, "a cold miss is not a leak");
+    h.overfill_outstanding_for_sanitizer_test();
+    // An L1 hit: the check runs after every access, not only on misses.
+    h.access(0x1000, AccessKind::DataRead, warm);
     let violations = sanitizer::take();
     assert_eq!(violations.len(), 1, "one leak: {violations:?}");
     assert_eq!(violations[0].checker, "mshr-leak");
     assert!(
-        violations[0].message.contains("0x2000"),
-        "message names the leaked line: {}",
+        violations[0].message.contains("20-entry MSHR file"),
+        "message names the MSHR bound: {}",
         violations[0].message
     );
-}
-
-#[test]
-fn drained_mshr_file_is_clean() {
-    let _ = sanitizer::take();
-    let mut m = MshrFile::new(2);
-    m.allocate(0x40);
-    m.allocate(0x40); // merged secondary
-    m.retire(0x40);
-    m.check_drained("clean drain");
-    assert_eq!(sanitizer::violation_count(), 0);
 }
 
 #[test]

@@ -111,8 +111,6 @@ impl std::fmt::Display for CtxSwitchModel {
 pub struct Dispatcher {
     op_cost: Cycles,
     busy_until: Cycles,
-    ops: u64,
-    queue_cycles: u64,
 }
 
 impl Dispatcher {
@@ -121,8 +119,6 @@ impl Dispatcher {
         Self {
             op_cost,
             busy_until: Cycles::ZERO,
-            ops: 0,
-            queue_cycles: 0,
         }
     }
 
@@ -149,36 +145,8 @@ impl Dispatcher {
     /// Requests a dispatch at `now`; returns when the dispatcher completes
     /// this operation (start-of-switch time for the caller).
     pub fn dispatch(&mut self, now: Cycles) -> Cycles {
-        self.dispatch_traced(now).0
-    }
-
-    /// Traced [`Dispatcher::dispatch`]: also returns how long this
-    /// operation queued behind earlier switches — the dispatcher-contention
-    /// share of a context switch, for latency attribution.
-    pub fn dispatch_traced(&mut self, now: Cycles) -> (Cycles, Cycles) {
-        let start = now.max(self.busy_until);
-        let queued = start - now;
-        self.queue_cycles += queued.raw();
-        self.busy_until = start + self.op_cost;
-        self.ops += 1;
-        (self.busy_until, queued)
-    }
-
-    /// Operations served.
-    pub fn op_count(&self) -> u64 {
-        self.ops
-    }
-
-    /// Total cycles operations spent queueing for the dispatcher.
-    pub fn queue_cycles(&self) -> u64 {
-        self.queue_cycles
-    }
-
-    /// Clears occupancy and statistics.
-    pub fn reset(&mut self) {
-        self.busy_until = Cycles::ZERO;
-        self.ops = 0;
-        self.queue_cycles = 0;
+        self.busy_until = now.max(self.busy_until) + self.op_cost;
+        self.busy_until
     }
 }
 
@@ -225,17 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_traced_reports_queueing() {
-        let mut d = Dispatcher::new(Cycles::new(10));
-        let (done, queued) = d.dispatch_traced(Cycles::ZERO);
-        assert_eq!((done, queued), (Cycles::new(10), Cycles::ZERO));
-        let (done, queued) = d.dispatch_traced(Cycles::new(4));
-        // Queues behind the first op: starts at 10, not 4.
-        assert_eq!((done, queued), (Cycles::new(20), Cycles::new(6)));
-        assert_eq!(d.queue_cycles(), 6);
-    }
-
-    #[test]
     fn hardware_has_no_dispatcher() {
         assert!(Dispatcher::for_model(CtxSwitchModel::Hardware, 1024).is_none());
         assert!(Dispatcher::for_model(CtxSwitchModel::Shinjuku, 1024).is_some());
@@ -264,8 +221,6 @@ mod tests {
             assert!(done > last);
             last = done;
         }
-        assert_eq!(d.op_count(), 5);
-        assert_eq!(d.queue_cycles(), (10 + 20 + 30 + 40) as u64);
     }
 
     #[test]
@@ -274,16 +229,6 @@ mod tests {
         d.dispatch(Cycles::ZERO);
         let done = d.dispatch(Cycles::new(1_000));
         assert_eq!(done, Cycles::new(1_010));
-        assert_eq!(d.queue_cycles(), 0);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut d = Dispatcher::new(Cycles::new(10));
-        d.dispatch(Cycles::ZERO);
-        d.reset();
-        assert_eq!(d.op_count(), 0);
-        assert_eq!(d.dispatch(Cycles::ZERO), Cycles::new(10));
     }
 
     #[test]

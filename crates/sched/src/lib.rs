@@ -6,8 +6,6 @@
 //! moving them into hardware removes the overhead. This crate provides both
 //! sides of that comparison:
 //!
-//! - [`QueueFabric`]: the §3.2 experiment fabric — any number of FCFS
-//!   queues over a set of cores, optional work stealing (Figure 3).
 //! - [`RequestQueue`]: the hardware Request Queue of §4.3 — a circular
 //!   buffer with per-entry status, service id and a Request Context Memory
 //!   slot, operated by `Enqueue`/`Dequeue`/`Complete`/`ContextSwitch`
@@ -42,13 +40,11 @@
 #![warn(missing_docs)]
 
 pub mod ctxswitch;
-pub mod fabric;
 pub mod mitigation;
 pub mod policy;
 pub mod rq;
 
 pub use ctxswitch::{CtxSwitchModel, Dispatcher};
-pub use fabric::{FabricConfig, QueueFabric};
 pub use mitigation::{HedgeConfig, MitigationConfig, RetryBudget, RetryConfig};
 pub use policy::DequeuePolicy;
 pub use rq::{PartitionedRq, RequestQueue, RqEntryStatus, RqError, RqSlot};

@@ -63,8 +63,8 @@ struct Entry<T> {
     status: RqEntryStatus,
     service: u32,
     generation: u64,
-    /// When the entry last became Ready (enqueue or unblock); the timed
-    /// dequeue variants report `now - ready_since` as the queue wait.
+    /// When the entry last became Ready (enqueue or unblock);
+    /// `dequeue_any_with_at` reports `now - ready_since` as the queue wait.
     ready_since: Cycles,
     ctx: T,
 }
@@ -107,8 +107,6 @@ pub struct RequestQueue<T> {
     len: usize,
     next_generation: u64,
     enqueues: u64,
-    rejections: u64,
-    ready_wait: Cycles,
 }
 
 impl<T> RequestQueue<T> {
@@ -127,8 +125,6 @@ impl<T> RequestQueue<T> {
             len: 0,
             next_generation: 0,
             enqueues: 0,
-            rejections: 0,
-            ready_wait: Cycles::ZERO,
         }
     }
 
@@ -173,7 +169,6 @@ impl<T> RequestQueue<T> {
     /// Returns [`RqError::Full`] when no slot is free.
     pub fn enqueue_at(&mut self, service: u32, ctx: T, now: Cycles) -> Result<RqSlot, RqError> {
         if self.is_full() {
-            self.rejections += 1;
             return Err(RqError::Full);
         }
         let index = self.tail;
@@ -224,29 +219,14 @@ impl<T> RequestQueue<T> {
     /// The `Dequeue` instruction: claims the ready entry closest to the
     /// head whose service matches, marking it running (FCFS).
     pub fn dequeue(&mut self, service: u32) -> Option<(RqSlot, &T)> {
-        self.dequeue_with(service, DequeuePolicy::Fcfs, |_| 0)
-    }
-
-    /// Claims the oldest ready entry of *any* service.
-    pub fn dequeue_any(&mut self) -> Option<(RqSlot, &T)> {
-        self.dequeue_inner(None, DequeuePolicy::Fcfs, |_| 0, Cycles::ZERO)
+        self.dequeue_inner(Some(service), DequeuePolicy::Fcfs, |_| 0, Cycles::ZERO)
             .map(|(slot, ctx, _)| (slot, ctx))
     }
 
     /// Policy-parameterized dequeue across all services: FCFS takes the
-    /// oldest ready entry; SRPT the one with the smallest `remaining`.
-    pub fn dequeue_any_with(
-        &mut self,
-        policy: DequeuePolicy,
-        remaining: impl Fn(&T) -> u64,
-    ) -> Option<(RqSlot, &T)> {
-        self.dequeue_inner(None, policy, remaining, Cycles::ZERO)
-            .map(|(slot, ctx, _)| (slot, ctx))
-    }
-
-    /// Timed [`RequestQueue::dequeue_any_with`]: additionally returns how
-    /// long the claimed entry sat Ready (`now - ready_since`, clamped at
-    /// zero), and folds it into [`RequestQueue::ready_wait_cycles`].
+    /// oldest ready entry; SRPT the one with the smallest `remaining(ctx)`.
+    /// Also returns how long the claimed entry sat Ready
+    /// (`now - ready_since`, clamped at zero).
     pub fn dequeue_any_with_at(
         &mut self,
         policy: DequeuePolicy,
@@ -254,18 +234,6 @@ impl<T> RequestQueue<T> {
         now: Cycles,
     ) -> Option<(RqSlot, &T, Cycles)> {
         self.dequeue_inner(None, policy, remaining, now)
-    }
-
-    /// Policy-parameterized dequeue: FCFS takes the oldest ready match;
-    /// SRPT takes the ready match with the smallest `remaining(ctx)`.
-    pub fn dequeue_with(
-        &mut self,
-        service: u32,
-        policy: DequeuePolicy,
-        remaining: impl Fn(&T) -> u64,
-    ) -> Option<(RqSlot, &T)> {
-        self.dequeue_inner(Some(service), policy, remaining, Cycles::ZERO)
-            .map(|(slot, ctx, _)| (slot, ctx))
     }
 
     fn dequeue_inner(
@@ -307,7 +275,6 @@ impl<T> RequestQueue<T> {
         let entry = self.slots[idx].as_mut().expect("chosen slot occupied");
         entry.status = RqEntryStatus::Running;
         let wait = now.saturating_sub(entry.ready_since);
-        self.ready_wait += wait;
         let slot = RqSlot {
             index: idx,
             generation: entry.generation,
@@ -410,15 +377,6 @@ impl<T> RequestQueue<T> {
         }
     }
 
-    /// Mutable access to a request's context memory (the NIC writes RPC
-    /// responses here, the core saves register state here).
-    pub fn ctx_mut(&mut self, slot: RqSlot) -> Option<&mut T> {
-        match self.slots.get_mut(slot.index)?.as_mut() {
-            Some(e) if e.generation == slot.generation => Some(&mut e.ctx),
-            _ => None,
-        }
-    }
-
     /// The per-core Work flag (§4.3): whether a ready entry exists for
     /// `service`.
     pub fn has_ready(&self, service: u32) -> bool {
@@ -426,14 +384,6 @@ impl<T> RequestQueue<T> {
             .iter()
             .flatten()
             .any(|e| e.status == RqEntryStatus::Ready && e.service == service)
-    }
-
-    /// Whether any service has a ready entry.
-    pub fn has_any_ready(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|e| e.status == RqEntryStatus::Ready)
     }
 
     /// Count of entries in a given status.
@@ -448,18 +398,6 @@ impl<T> RequestQueue<T> {
     /// Total accepted enqueues.
     pub fn enqueue_count(&self) -> u64 {
         self.enqueues
-    }
-
-    /// Total rejected enqueues (RQ full).
-    pub fn rejection_count(&self) -> u64 {
-        self.rejections
-    }
-
-    /// Accumulated Ready-state residence across all timed dequeues — the
-    /// RQ's own view of queue-wait, cross-checked against the system
-    /// simulator's per-request attribution.
-    pub fn ready_wait_cycles(&self) -> Cycles {
-        self.ready_wait
     }
 }
 
@@ -637,7 +575,6 @@ mod tests {
         rq.enqueue(1, 0).unwrap();
         rq.enqueue(1, 1).unwrap();
         assert_eq!(rq.enqueue(1, 2), Err(RqError::Full));
-        assert_eq!(rq.rejection_count(), 1);
     }
 
     #[test]
@@ -711,14 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn ctx_mut_updates() {
-        let mut rq = RequestQueue::new(2);
-        let a = rq.enqueue(1, vec![0u8; 4]).unwrap();
-        rq.ctx_mut(a).unwrap().push(9);
-        assert_eq!(rq.ctx(a).unwrap().len(), 5);
-    }
-
-    #[test]
     fn wraparound_preserves_fcfs() {
         let mut rq = RequestQueue::new(3);
         let mut order = Vec::new();
@@ -734,28 +663,18 @@ mod tests {
     }
 
     #[test]
-    fn srpt_picks_shortest() {
-        let mut rq = RequestQueue::new(4);
-        rq.enqueue(1, 500u64).unwrap();
-        rq.enqueue(1, 100u64).unwrap();
-        rq.enqueue(1, 300u64).unwrap();
-        let (_, &v) = rq.dequeue_with(1, DequeuePolicy::Srpt, |&rem| rem).unwrap();
-        assert_eq!(v, 100);
-    }
-
-    #[test]
-    fn dequeue_any_with_srpt_picks_shortest_across_services() {
+    fn srpt_picks_shortest_across_services() {
         let mut rq = RequestQueue::new(4);
         rq.enqueue(1, 900u64).unwrap();
         rq.enqueue(2, 50u64).unwrap();
         rq.enqueue(1, 300u64).unwrap();
-        let (_, &v) = rq
-            .dequeue_any_with(DequeuePolicy::Srpt, |&rem| rem)
+        let (_, &v, _) = rq
+            .dequeue_any_with_at(DequeuePolicy::Srpt, |&rem| rem, Cycles::ZERO)
             .unwrap();
         assert_eq!(v, 50);
         // FCFS ignores the estimator and takes the oldest.
-        let (_, &v) = rq
-            .dequeue_any_with(DequeuePolicy::Fcfs, |&rem| rem)
+        let (_, &v, _) = rq
+            .dequeue_any_with_at(DequeuePolicy::Fcfs, |&rem| rem, Cycles::ZERO)
             .unwrap();
         assert_eq!(v, 900);
     }
@@ -765,7 +684,9 @@ mod tests {
         let mut rq = RequestQueue::new(4);
         rq.enqueue(5, "x").unwrap();
         assert!(rq.dequeue(1).is_none());
-        assert!(rq.dequeue_any().is_some());
+        assert!(rq
+            .dequeue_any_with_at(DequeuePolicy::Fcfs, |_| 0, Cycles::ZERO)
+            .is_some());
     }
 
     #[test]
@@ -775,7 +696,6 @@ mod tests {
         rq.enqueue(1, ()).unwrap();
         let _ = rq.enqueue(1, ());
         assert_eq!(rq.enqueue_count(), 2);
-        assert_eq!(rq.rejection_count(), 1);
         rq.dequeue(1).unwrap();
         assert_eq!(rq.count_status(RqEntryStatus::Running), 1);
         assert_eq!(rq.count_status(RqEntryStatus::Ready), 1);
@@ -833,7 +753,6 @@ mod tests {
             .dequeue_any_with_at(DequeuePolicy::Fcfs, |_| 0, Cycles::new(160))
             .unwrap();
         assert_eq!(wait, Cycles::new(30));
-        assert_eq!(rq.ready_wait_cycles(), Cycles::new(80));
     }
 
     #[test]

@@ -12,6 +12,11 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 /// Headers stop being a request and start being a flood at this count.
 const MAX_HEADERS: usize = 64;
 
+/// Longest accepted request line or header line, newline included. A
+/// peer that sends this many bytes without a newline gets a 400 instead
+/// of growing the line buffer and holding the connection thread.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
 /// A parsed request: method, path and the raw body bytes.
 #[derive(Debug)]
 pub struct Request {
@@ -31,10 +36,7 @@ pub struct Request {
 /// with `400 Bad Request`.
 pub fn read_request(stream: &TcpStream) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
+    let line = read_line(&mut reader, "request line")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -51,10 +53,7 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, String> {
 
     let mut content_length = 0usize;
     for _ in 0..MAX_HEADERS {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| format!("read header: {e}"))?;
+        let header = read_line(&mut reader, "header")?;
         let header = header.trim_end();
         if header.is_empty() {
             let mut body = vec![0u8; content_length];
@@ -77,6 +76,20 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, String> {
         }
     }
     Err("too many headers".to_string())
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`]; a full-length read that
+/// has not reached a newline is an error.
+fn read_line(reader: &mut impl BufRead, what: &str) -> Result<String, String> {
+    let mut line = String::new();
+    reader
+        .take(MAX_LINE_BYTES as u64)
+        .read_line(&mut line)
+        .map_err(|e| format!("read {what}: {e}"))?;
+    if line.len() == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(format!("{what} exceeds {MAX_LINE_BYTES} bytes"));
+    }
+    Ok(line)
 }
 
 /// A response about to be written: status, content type, extra headers

@@ -5,15 +5,19 @@
 //! produces; repeat submissions are cache hits that skip re-simulation;
 //! a full admission queue answers 429 with a `Retry-After` hint; and
 //! malformed submissions answer 400 with the scenario layer's field-path
-//! errors.
+//! errors; an overlong request or header line answers 400 without
+//! waiting for a newline.
 
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use um_bench::benchjson::{obj, Json};
 use um_bench::scenario::{self, ScenarioKind};
 use um_serve::client::{self, HttpResponse};
+use um_serve::http::MAX_LINE_BYTES;
 use um_serve::server;
 use um_serve::service::{JobService, ServiceConfig};
 
@@ -304,4 +308,31 @@ fn registry_and_healthz_answer() {
     assert_eq!(missing.status, 404);
     let not_ready = get(addr, "/nope");
     assert_eq!(not_ready.status, 404);
+}
+
+#[test]
+fn overlong_lines_answer_400_without_a_newline() {
+    let (addr, _service) = start(ServiceConfig {
+        workers: 0,
+        queue_depth: 1,
+        retry_after_secs: 1,
+    });
+    let filler = "A".repeat(MAX_LINE_BYTES);
+    let header_flood = format!("GET /healthz HTTP/1.1\r\nx-pad: {}", &filler[7..]);
+    for request in [filler.as_str(), header_flood.as_str()] {
+        // Exactly the bound and no newline, with the socket left open: the
+        // server reads every byte sent (unread bytes at close would turn
+        // the 400 into a reset) and must answer without waiting for more.
+        let mut stream = TcpStream::connect(addr).expect("connect loopback");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set read timeout");
+        stream.write_all(request.as_bytes()).expect("send the line");
+        let mut reply = String::new();
+        stream
+            .read_to_string(&mut reply)
+            .expect("server answers within the read timeout");
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+        assert!(reply.contains("exceeds"), "{reply}");
+    }
 }

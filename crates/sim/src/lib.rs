@@ -16,7 +16,7 @@
 //!   schedule/pop loop is O(1) and allocation-free.
 //! - [`rng`]: reproducible per-component random streams split from one master
 //!   seed, so every experiment is bit-reproducible.
-//! - [`trace`]: per-request latency provenance — a span taxonomy and
+//! - [`trace`]: per-request latency provenance — a component taxonomy and
 //!   cycle-exact breakdown accumulator whose components sum to the
 //!   request's end-to-end latency (the conservation invariant).
 //!
@@ -48,4 +48,4 @@ pub mod trace;
 
 pub use queue::EventQueue;
 pub use time::{Cycles, Frequency};
-pub use trace::{Component, LatencyBreakdown, NullSink, Span, TraceSink};
+pub use trace::{Component, LatencyBreakdown};

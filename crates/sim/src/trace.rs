@@ -5,14 +5,15 @@
 //! (Figs 3/6/9) — so the simulator needs first-class attribution, not an
 //! after-the-fact analytic estimate. This module provides the vocabulary:
 //!
-//! - [`Component`]: the span taxonomy — every cycle of a request's life
+//! - [`Component`]: the component taxonomy — every cycle of a request's life
 //!   belongs to exactly one component.
 //! - [`LatencyBreakdown`]: a per-request accumulator of cycles by
 //!   component, with the conservation-friendly invariant that charges are
 //!   exact cycle counts (no floats, no rounding drift).
-//! - [`Span`]/[`TraceSink`]: an open/close interval API for event loops
-//!   that close spans at event boundaries, with [`NullSink`] as the
-//!   zero-cost disabled path.
+//!
+//! The event loop charges each interval as it closes: a request's queue
+//! wait, for instance, is charged at dispatch as the time since its
+//! insert completed.
 //!
 //! The headline invariant, enforced by the system simulator's debug
 //! assertions and the `latency_conservation` property suite: **a request's
@@ -21,12 +22,11 @@
 //! # Examples
 //!
 //! ```
-//! use um_sim::trace::{Component, LatencyBreakdown, Span};
+//! use um_sim::trace::{Component, LatencyBreakdown};
 //! use um_sim::Cycles;
 //!
 //! let mut bd = LatencyBreakdown::new();
-//! let span = Span::open(Component::QueueWait, Cycles::new(100));
-//! bd.charge(span.component(), span.close(Cycles::new(150)));
+//! bd.charge(Component::QueueWait, Cycles::new(150) - Cycles::new(100));
 //! bd.charge(Component::Compute, Cycles::new(200));
 //! assert_eq!(bd.get(Component::QueueWait), Cycles::new(50));
 //! assert_eq!(bd.total(), Cycles::new(250));
@@ -215,68 +215,6 @@ impl fmt::Display for LatencyBreakdown {
     }
 }
 
-/// An open attribution interval: a component and the time it started.
-///
-/// The event loop opens a span when a request enters a state and closes it
-/// at the boundary event, obtaining the interval's duration to charge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Span {
-    component: Component,
-    opened_at: Cycles,
-}
-
-impl Span {
-    /// Opens a span for `component` at time `at`.
-    pub fn open(component: Component, at: Cycles) -> Self {
-        Self {
-            component,
-            opened_at: at,
-        }
-    }
-
-    /// The component this span attributes to.
-    pub fn component(self) -> Component {
-        self.component
-    }
-
-    /// When the span was opened.
-    pub fn opened_at(self) -> Cycles {
-        self.opened_at
-    }
-
-    /// Closes the span at `at`, returning its duration. Closing before the
-    /// open time yields zero (a dispatch that raced an insertion).
-    pub fn close(self, at: Cycles) -> Cycles {
-        at.saturating_sub(self.opened_at)
-    }
-
-    /// Closes the span at `at` and records the duration into `sink`.
-    pub fn close_into(self, at: Cycles, sink: &mut dyn TraceSink) {
-        sink.record(self.component, self.close(at));
-    }
-}
-
-/// Receives closed span durations. [`LatencyBreakdown`] is the real sink;
-/// [`NullSink`] is the disabled path.
-pub trait TraceSink {
-    /// Records `cycles` of `component` time.
-    fn record(&mut self, component: Component, cycles: Cycles);
-}
-
-impl TraceSink for LatencyBreakdown {
-    fn record(&mut self, component: Component, cycles: Cycles) {
-        self.charge(component, cycles);
-    }
-}
-
-/// A sink that drops everything — tracing disabled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _component: Component, _cycles: Cycles) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,30 +258,6 @@ mod tests {
         assert_eq!(parent.get(Component::Compute), Cycles::new(15));
         assert_eq!(parent.get(Component::IcnTransit), Cycles::new(3));
         assert_eq!(parent.total(), Cycles::new(18));
-    }
-
-    #[test]
-    fn span_close_measures_interval() {
-        let s = Span::open(Component::QueueWait, Cycles::new(40));
-        assert_eq!(s.component(), Component::QueueWait);
-        assert_eq!(s.opened_at(), Cycles::new(40));
-        assert_eq!(s.close(Cycles::new(100)), Cycles::new(60));
-    }
-
-    #[test]
-    fn span_close_before_open_is_zero() {
-        let s = Span::open(Component::QueueWait, Cycles::new(40));
-        assert_eq!(s.close(Cycles::new(30)), Cycles::ZERO);
-    }
-
-    #[test]
-    fn span_close_into_sink() {
-        let mut bd = LatencyBreakdown::new();
-        Span::open(Component::CtxSwitch, Cycles::new(10)).close_into(Cycles::new(25), &mut bd);
-        assert_eq!(bd.get(Component::CtxSwitch), Cycles::new(15));
-        let mut null = NullSink;
-        Span::open(Component::CtxSwitch, Cycles::new(10)).close_into(Cycles::new(25), &mut null);
-        assert_eq!(null, NullSink);
     }
 
     #[test]

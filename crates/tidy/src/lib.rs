@@ -38,11 +38,6 @@
 //! directory iteration order because every output is keyed on the sorted
 //! workspace-relative path.
 //!
-//! `um-tidy --json` emits the full report as JSON whose rendering
-//! matches `um_bench::benchjson` byte for byte (parse → render is the
-//! identity), so the lint gate's output round-trips through the same
-//! document model as the rest of the repo's JSON.
-//!
 //! # Rules
 //!
 //! See [`Rule`] (one variant per rule) or `um-tidy --list-rules`; the
@@ -1087,133 +1082,6 @@ pub fn render_debt(report: &Report) -> String {
     out
 }
 
-/// Renders the report as JSON whose text round-trips *byte-exactly*
-/// through `um_bench::benchjson` (`Json::parse(s).render() == s`): same
-/// 2-space indentation, integer formatting and string escaping. The lint
-/// gate stays zero-dependency while um-bench's tests check its output with
-/// the same document model as the rest of the repo's JSON.
-pub fn render_json(report: &Report) -> String {
-    use jsonfmt::J;
-    let violations = report
-        .diagnostics
-        .iter()
-        .map(|d| {
-            J::Obj(vec![
-                ("path".into(), J::Str(d.path.clone())),
-                ("line".into(), J::Num(d.line as f64)),
-                ("rule".into(), J::Str(d.rule.id().into())),
-                ("message".into(), J::Str(d.message.clone())),
-            ])
-        })
-        .collect();
-    let debt = Rule::ALL
-        .iter()
-        .map(|r| (r.id().to_string(), J::Num(report.debt[r.index()] as f64)))
-        .collect();
-    let doc = J::Obj(vec![
-        ("tool".into(), J::Str("um-tidy".into())),
-        ("rules".into(), J::Num(Rule::COUNT as f64)),
-        ("files".into(), J::Num(report.files as f64)),
-        ("lines".into(), J::Num(report.lines as f64)),
-        (
-            "violation_count".into(),
-            J::Num(report.diagnostics.len() as f64),
-        ),
-        ("violations".into(), J::Arr(violations)),
-        ("debt".into(), J::Obj(debt)),
-        ("total_debt".into(), J::Num(report.total_debt() as f64)),
-    ]);
-    doc.render()
-}
-
-/// A minimal JSON emitter mirroring `um_bench::benchjson::Json::render`
-/// exactly (2-space indent, `{n:.0}` integers, identical escapes), kept
-/// here so the lint gate stays dependency-free. `crates/bench` round-trip
-/// tests pin the byte equivalence.
-mod jsonfmt {
-    pub enum J {
-        Num(f64),
-        Str(String),
-        Arr(Vec<J>),
-        Obj(Vec<(String, J)>),
-    }
-
-    impl J {
-        pub fn render(&self) -> String {
-            let mut out = String::new();
-            self.render_into(&mut out, 0);
-            out.push('\n');
-            out
-        }
-
-        fn render_into(&self, out: &mut String, indent: usize) {
-            match self {
-                J::Num(n) => {
-                    assert!(n.is_finite(), "cannot render non-finite number {n}");
-                    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                        out.push_str(&format!("{n:.0}"));
-                    } else {
-                        out.push_str(&format!("{n}"));
-                    }
-                }
-                J::Str(s) => render_string(s, out),
-                J::Arr(items) => {
-                    if items.is_empty() {
-                        out.push_str("[]");
-                        return;
-                    }
-                    out.push_str("[\n");
-                    for (i, item) in items.iter().enumerate() {
-                        push_indent(out, indent + 1);
-                        item.render_into(out, indent + 1);
-                        out.push_str(if i + 1 == items.len() { "\n" } else { ",\n" });
-                    }
-                    push_indent(out, indent);
-                    out.push(']');
-                }
-                J::Obj(pairs) => {
-                    if pairs.is_empty() {
-                        out.push_str("{}");
-                        return;
-                    }
-                    out.push_str("{\n");
-                    for (i, (key, value)) in pairs.iter().enumerate() {
-                        push_indent(out, indent + 1);
-                        render_string(key, out);
-                        out.push_str(": ");
-                        value.render_into(out, indent + 1);
-                        out.push_str(if i + 1 == pairs.len() { "\n" } else { ",\n" });
-                    }
-                    push_indent(out, indent);
-                    out.push('}');
-                }
-            }
-        }
-    }
-
-    fn push_indent(out: &mut String, indent: usize) {
-        for _ in 0..indent {
-            out.push_str("  ");
-        }
-    }
-
-    fn render_string(s: &str, out: &mut String) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1605,20 +1473,6 @@ mod tests {
             assert!(ledger.contains(rule.id()), "ledger misses {}", rule.id());
         }
         assert!(ledger.ends_with("total                    0\n"));
-    }
-
-    #[test]
-    fn json_report_is_deterministic_and_complete() {
-        let files = vec![(
-            "crates/net/src/a.rs".to_string(),
-            "use std::collections::HashMap;\n".to_string(),
-        )];
-        let report = check_files(&files);
-        let a = render_json(&report);
-        let b = render_json(&check_files(&files));
-        assert_eq!(a, b);
-        assert!(a.contains("\"unordered-container\""));
-        assert!(a.contains("\"violation_count\": 1"));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run -p um-tidy                     # check the workspace rooted at cwd
-//! cargo run -p um-tidy -- --json           # machine-readable report (benchjson-compatible)
 //! cargo run -p um-tidy -- --debt           # allow-debt ledger for results/tidy_debt.txt
 //! cargo run -p um-tidy -- --rule-table     # markdown rule table embedded in DESIGN.md
 //! cargo run -p um-tidy -- --list-rules
@@ -15,19 +14,17 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use um_tidy::{render_debt, render_json, rule_table, workspace_report, Rule};
+use um_tidy::{render_debt, rule_table, workspace_report, Rule};
 
 enum Mode {
     Check,
-    Json,
     Debt,
 }
 
 fn usage() {
-    eprintln!("usage: um-tidy [--json | --debt | --rule-table | --list-rules] [workspace-root]");
+    eprintln!("usage: um-tidy [--debt | --rule-table | --list-rules] [workspace-root]");
     eprintln!("checks every workspace .rs file against the determinism/invariant rules");
     eprintln!("  (no flag)     print diagnostics; exit 1 if any");
-    eprintln!("  --json        full report (diagnostics + debt) as benchjson-compatible JSON");
     eprintln!("  --debt        allow-debt ledger; redirect to results/tidy_debt.txt");
     eprintln!("  --rule-table  markdown rule table; DESIGN.md embeds this verbatim");
     eprintln!("  --list-rules  rule ids with one-line summaries");
@@ -49,7 +46,6 @@ fn main() -> ExitCode {
                 print!("{}", rule_table());
                 return ExitCode::SUCCESS;
             }
-            "--json" => mode = Mode::Json,
             "--debt" => mode = Mode::Debt,
             "--help" | "-h" => {
                 usage();
@@ -92,14 +88,6 @@ fn main() -> ExitCode {
         Mode::Debt => {
             print!("{}", render_debt(&report));
             ExitCode::SUCCESS
-        }
-        Mode::Json => {
-            print!("{}", render_json(&report));
-            if report.diagnostics.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
         }
         Mode::Check => {
             if report.diagnostics.is_empty() {
