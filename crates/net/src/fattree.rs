@@ -16,19 +16,25 @@ use crate::topology::{LinkId, Topology};
 /// # Examples
 ///
 /// ```
-/// use um_net::{FatTree, Topology};
+/// use um_net::{topology::first_choice, FatTree, Topology};
 ///
 /// let t = FatTree::new(32); // the ScaleOut configuration
 /// assert_eq!(t.endpoints(), 32);
 /// assert_eq!(t.total_hubs(), 63);
 /// assert_eq!(t.diameter(), 10);
+///
+/// let mut route = Vec::new();
+/// t.route(0, 31, &mut first_choice, &mut route); // through the root
+/// assert_eq!(route.len(), t.diameter());
+/// assert_eq!(t.link_width(route[4]), 8.0); // capped at the root
 /// ```
 #[derive(Clone, Debug)]
 pub struct FatTree {
     leaves: usize,
     depth: u32,
-    /// Bandwidth multiplier cap for links near the root.
-    width_cap: f64,
+    /// Relative bandwidth of each directed link, indexed by [`LinkId`]:
+    /// doubling per level above the leaves, up to the widening cap.
+    widths: Vec<f64>,
 }
 
 impl FatTree {
@@ -59,10 +65,18 @@ impl FatTree {
             "leaves must be a power of two >= 2, got {leaves}"
         );
         assert!(width_cap >= 1.0, "width cap below 1.0");
+        let depth = leaves.trailing_zeros();
+        // Link `l` joins heap node `l / 2 + 2` to its parent.
+        let widths = (0..2 * (2 * leaves - 2))
+            .map(|link| {
+                let level = depth - Self::node_depth(link / 2 + 2);
+                (2.0f64.powi(level as i32)).min(width_cap)
+            })
+            .collect();
         Self {
             leaves,
-            depth: leaves.trailing_zeros(),
-            width_cap,
+            depth,
+            widths,
         }
     }
 
@@ -84,19 +98,17 @@ impl FatTree {
             "node out of range: {src} or {dst} >= {}",
             self.leaves
         );
-        let mut a = self.heap_of_leaf(src);
-        let mut b = self.heap_of_leaf(dst);
-        let mut hops = 0;
-        while a != b {
-            a /= 2;
-            b /= 2;
-            hops += 2;
-        }
-        hops
+        2 * Self::levels_to_lca(self.heap_of_leaf(src), self.heap_of_leaf(dst))
     }
 
     fn heap_of_leaf(&self, e: usize) -> usize {
         self.leaves + e
+    }
+
+    /// Levels two same-depth heap nodes climb to their lowest common
+    /// ancestor: their indices agree above the highest differing bit.
+    fn levels_to_lca(a: usize, b: usize) -> usize {
+        (usize::BITS - (a ^ b).leading_zeros()) as usize
     }
 
     /// Directed link ids: for heap node `i` in `2..2*leaves`, the up link
@@ -129,36 +141,24 @@ impl Topology for FatTree {
         src: usize,
         dst: usize,
         _choose: &mut dyn FnMut(&[LinkId]) -> usize,
-    ) -> Vec<LinkId> {
+        route: &mut Vec<LinkId>,
+    ) {
         assert!(
             src < self.leaves && dst < self.leaves,
             "node out of range: {src} or {dst} >= {}",
             self.leaves
         );
-        if src == dst {
-            return Vec::new();
-        }
-        let mut a = self.heap_of_leaf(src);
-        let mut b = self.heap_of_leaf(dst);
-        let mut up = Vec::new();
-        let mut down = Vec::new();
-        // Climb to the lowest common ancestor.
-        while a != b {
-            up.push(Self::up_link(a));
-            down.push(Self::down_link(b));
-            a /= 2;
-            b /= 2;
-        }
-        down.reverse();
-        up.extend(down);
-        up
+        route.clear();
+        let a = self.heap_of_leaf(src);
+        let b = self.heap_of_leaf(dst);
+        // Up from `src` to the lowest common ancestor, then down to `dst`.
+        let levels = Self::levels_to_lca(a, b);
+        route.extend((0..levels).map(|k| Self::up_link(a >> k)));
+        route.extend((0..levels).rev().map(|k| Self::down_link(b >> k)));
     }
 
     fn link_width(&self, link: LinkId) -> f64 {
-        // Recover the child node of the link, then its level above leaves.
-        let child = link / 2 + 2;
-        let level = self.depth - Self::node_depth(child);
-        (2.0f64.powi(level as i32)).min(self.width_cap)
+        self.widths[link]
     }
 
     fn name(&self) -> &'static str {
@@ -173,7 +173,8 @@ impl Topology for FatTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{first_choice, testutil::check_routing_invariants};
+    use crate::topology::first_choice;
+    use crate::topology::testutil::{check_routing_invariants, route_vec};
 
     #[test]
     fn invariants_32() {
@@ -190,13 +191,13 @@ mod tests {
     #[test]
     fn siblings_route_in_two_hops() {
         let t = FatTree::new(8);
-        assert_eq!(t.route(0, 1, &mut first_choice).len(), 2);
+        assert_eq!(route_vec(&t, 0, 1, &mut first_choice).len(), 2);
     }
 
     #[test]
     fn opposite_halves_cross_root() {
         let t = FatTree::new(8);
-        let route = t.route(0, 7, &mut first_choice);
+        let route = route_vec(&t, 0, 7, &mut first_choice);
         assert_eq!(route.len(), 6); // 3 up + 3 down for depth-3 tree
     }
 
@@ -204,8 +205,8 @@ mod tests {
     fn route_is_symmetric_in_length() {
         let t = FatTree::new(16);
         for (a, b) in [(0, 15), (3, 9), (7, 8)] {
-            let f = t.route(a, b, &mut first_choice).len();
-            let r = t.route(b, a, &mut first_choice).len();
+            let f = route_vec(&t, a, b, &mut first_choice).len();
+            let r = route_vec(&t, b, a, &mut first_choice).len();
             assert_eq!(f, r);
         }
     }
@@ -213,7 +214,7 @@ mod tests {
     #[test]
     fn widths_grow_toward_root_and_cap() {
         let t = FatTree::new(32);
-        let route = t.route(0, 31, &mut first_choice); // through the root
+        let route = route_vec(&t, 0, 31, &mut first_choice); // through the root
         let widths: Vec<f64> = route.iter().map(|&l| t.link_width(l)).collect();
         // Going up: 1, 2, 4, 8, 8 then down again (doubling capped at 8).
         assert_eq!(widths[0], 1.0);
@@ -228,8 +229,8 @@ mod tests {
         // All cross-half traffic uses the same two root links: the
         // structural reason the fat tree congests in Figure 7.
         let t = FatTree::new(8);
-        let r1 = t.route(0, 4, &mut first_choice);
-        let r2 = t.route(1, 5, &mut first_choice);
+        let r1 = route_vec(&t, 0, 4, &mut first_choice);
+        let r2 = route_vec(&t, 1, 5, &mut first_choice);
         let shared: Vec<_> = r1.iter().filter(|l| r2.contains(l)).collect();
         assert!(
             !shared.is_empty(),
@@ -247,7 +248,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::topology::{first_choice, testutil::check_routing_invariants};
+    use crate::topology::first_choice;
+    use crate::topology::testutil::{check_routing_invariants, route_vec};
     use proptest::prelude::*;
 
     proptest! {
@@ -266,7 +268,7 @@ mod proptests {
             let t = FatTree::new(leaves);
             let (src, dst) = (a % leaves, b % leaves);
             prop_assume!(src != dst);
-            let route = t.route(src, dst, &mut first_choice);
+            let route = route_vec(&t, src, dst, &mut first_choice);
             prop_assert_eq!(route.len() % 2, 0);
             let widths: Vec<f64> = route.iter().map(|&l| t.link_width(l)).collect();
             let half = widths.len() / 2;

@@ -146,14 +146,16 @@ impl Topology for LeafSpine {
         src: usize,
         dst: usize,
         choose: &mut dyn FnMut(&[LinkId]) -> usize,
-    ) -> Vec<LinkId> {
+        route: &mut Vec<LinkId>,
+    ) {
         let n = self.endpoints();
         assert!(
             src < n && dst < n,
             "node out of range: {src} or {dst} >= {n}"
         );
+        route.clear();
         if src == dst {
-            return Vec::new();
+            return;
         }
         let sp = self.pod_of(src);
         let dp = self.pod_of(dst);
@@ -161,34 +163,29 @@ impl Topology for LeafSpine {
 
         if sp == dp {
             // Two hops via any of the pod's spines.
-            let candidates: Vec<LinkId> = (0..s_count).map(|s| self.leaf_up(src, s)).collect();
-            let s = pick(choose, &candidates);
-            return vec![self.leaf_up(src, s), self.leaf_down(dst, s)];
+            let s = pick(choose, route, (0..s_count).map(|s| self.leaf_up(src, s)));
+            route.extend([self.leaf_up(src, s), self.leaf_down(dst, s)]);
+            return;
         }
 
         // Four hops: leaf -> L2(src pod) -> L3 -> L2(dst pod) -> leaf.
-        let up_candidates: Vec<LinkId> = (0..s_count).map(|s| self.leaf_up(src, s)).collect();
-        let s_src = pick(choose, &up_candidates);
+        let s_src = pick(choose, route, (0..s_count).map(|s| self.leaf_up(src, s)));
         let l2_src = self.l2_global(sp, s_src);
+        route.push(self.leaf_up(src, s_src));
 
-        let top_candidates: Vec<LinkId> = (0..self.top_spines)
-            .map(|t| self.l2_up(l2_src, t))
-            .collect();
-        let top = pick(choose, &top_candidates);
+        let top = pick(
+            choose,
+            route,
+            (0..self.top_spines).map(|t| self.l2_up(l2_src, t)),
+        );
+        route.push(self.l2_up(l2_src, top));
 
         // Present the *final-hop* links as the stage-3 candidates: the
         // spine-to-leaf hop into a popular destination is the likelier
         // bottleneck, so an adaptive chooser should compare those.
-        let down_candidates: Vec<LinkId> = (0..s_count).map(|s| self.leaf_down(dst, s)).collect();
-        let s_dst = pick(choose, &down_candidates);
+        let s_dst = pick(choose, route, (0..s_count).map(|s| self.leaf_down(dst, s)));
         let l2_dst = self.l2_global(dp, s_dst);
-
-        vec![
-            self.leaf_up(src, s_src),
-            self.l2_up(l2_src, top),
-            self.l2_down(l2_dst, top),
-            self.leaf_down(dst, s_dst),
-        ]
+        route.extend([self.l2_down(l2_dst, top), self.leaf_down(dst, s_dst)]);
     }
 
     fn name(&self) -> &'static str {
@@ -204,21 +201,29 @@ impl Topology for LeafSpine {
     }
 }
 
-/// Applies the chooser and validates its answer.
-fn pick(choose: &mut dyn FnMut(&[LinkId]) -> usize, candidates: &[LinkId]) -> usize {
-    let idx = choose(candidates);
-    assert!(
-        idx < candidates.len(),
-        "chooser returned {idx} for {} candidates",
-        candidates.len()
-    );
+/// Stages `candidates` past the end of the partial `route`, applies the
+/// chooser to them and validates its answer; leaves `route` as it found it.
+/// Staging in the route buffer keeps routing allocation-free without
+/// capping how many spines a level may have.
+fn pick(
+    choose: &mut dyn FnMut(&[LinkId]) -> usize,
+    route: &mut Vec<LinkId>,
+    candidates: impl Iterator<Item = LinkId>,
+) -> usize {
+    let start = route.len();
+    route.extend(candidates);
+    let count = route.len() - start;
+    let idx = choose(&route[start..]);
+    assert!(idx < count, "chooser returned {idx} for {count} candidates");
+    route.truncate(start);
     idx
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{first_choice, testutil::check_routing_invariants};
+    use crate::topology::first_choice;
+    use crate::topology::testutil::{check_routing_invariants, route_vec};
 
     #[test]
     fn invariants_paper_default() {
@@ -236,13 +241,13 @@ mod tests {
     #[test]
     fn intra_pod_is_two_hops() {
         let t = LeafSpine::paper_default();
-        assert_eq!(t.route(0, 7, &mut first_choice).len(), 2);
+        assert_eq!(route_vec(&t, 0, 7, &mut first_choice).len(), 2);
     }
 
     #[test]
     fn cross_pod_is_four_hops() {
         let t = LeafSpine::paper_default();
-        assert_eq!(t.route(0, 31, &mut first_choice).len(), 4);
+        assert_eq!(route_vec(&t, 0, 31, &mut first_choice).len(), 4);
     }
 
     #[test]
@@ -253,8 +258,8 @@ mod tests {
         let t = LeafSpine::paper_default();
         let mut pick0 = |_c: &[LinkId]| 0usize;
         let mut pick1 = |_c: &[LinkId]| 1usize;
-        let r0 = t.route(0, 31, &mut pick0);
-        let r1 = t.route(0, 31, &mut pick1);
+        let r0 = route_vec(&t, 0, 31, &mut pick0);
+        let r1 = route_vec(&t, 0, 31, &mut pick1);
         assert!(r0.iter().all(|l| !r1.contains(l)), "{r0:?} vs {r1:?}");
     }
 
@@ -266,7 +271,7 @@ mod tests {
             seen.push(c.len());
             0
         };
-        t.route(0, 31, &mut spy);
+        route_vec(&t, 0, 31, &mut spy);
         assert_eq!(seen, vec![4, 8, 4]); // spines, tops, dst spines
     }
 
@@ -303,14 +308,15 @@ mod tests {
     fn bad_chooser_panics() {
         let t = LeafSpine::paper_default();
         let mut bad = |_c: &[LinkId]| 999usize;
-        t.route(0, 1, &mut bad);
+        route_vec(&t, 0, 1, &mut bad);
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::topology::{first_choice, testutil::check_routing_invariants};
+    use crate::topology::first_choice;
+    use crate::topology::testutil::{check_routing_invariants, route_vec};
     use proptest::prelude::*;
 
     proptest! {
@@ -341,7 +347,7 @@ mod proptests {
                 i += 1;
                 p
             };
-            let route = t.route(src % 32, dst % 32, &mut choose);
+            let route = route_vec(&t, src % 32, dst % 32, &mut choose);
             for &l in &route {
                 prop_assert!(l < t.num_links());
             }

@@ -4,7 +4,16 @@
 //! ICNs whose contention Figure 7 quantifies on the ScaleOut manycore.
 
 use crate::topology::{LinkId, Topology};
-use std::collections::BTreeMap;
+
+/// Directions of an XY step, indexing a node's row of the link table.
+const EAST: usize = 0;
+const WEST: usize = 1;
+const SOUTH: usize = 2;
+const NORTH: usize = 3;
+
+/// Table entry for a step off the edge of the mesh; XY routing never
+/// takes one.
+const NO_LINK: LinkId = LinkId::MAX;
 
 /// A 2D mesh of endpoint routers with XY (X first, then Y) routing.
 ///
@@ -14,18 +23,23 @@ use std::collections::BTreeMap;
 /// # Examples
 ///
 /// ```
-/// use um_net::{Mesh2D, Topology};
+/// use um_net::{topology::first_choice, Mesh2D, Topology};
 ///
 /// let mesh = Mesh2D::new(8, 4); // 32 clusters as in the paper
 /// assert_eq!(mesh.endpoints(), 32);
 /// assert_eq!(mesh.diameter(), 7 + 3);
+///
+/// let mut route = Vec::new();
+/// mesh.route(0, 31, &mut first_choice, &mut route); // corner to corner
+/// assert_eq!(route.len(), mesh.hops(0, 31));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Mesh2D {
     cols: usize,
     rows: usize,
-    /// (from, to) -> link id
-    link_ids: BTreeMap<(usize, usize), LinkId>,
+    /// Outgoing link of each node in each direction (`EAST`, `WEST`,
+    /// `SOUTH`, `NORTH`), `NO_LINK` at the edges.
+    links: Vec<[LinkId; 4]>,
     num_links: usize,
 }
 
@@ -37,30 +51,26 @@ impl Mesh2D {
     /// Panics if either dimension is zero.
     pub fn new(cols: usize, rows: usize) -> Self {
         assert!(cols > 0 && rows > 0, "mesh dimensions must be nonzero");
-        let mut link_ids = BTreeMap::new();
+        // Link ids are assigned in row-major node order, east pair before
+        // south pair; fault injection addresses links by these ids.
+        let mut links = vec![[NO_LINK; 4]; cols * rows];
         let mut next = 0;
-        let id = |c: usize, r: usize| r * cols + c;
-        for r in 0..rows {
-            for c in 0..cols {
-                let here = id(c, r);
-                if c + 1 < cols {
-                    link_ids.insert((here, id(c + 1, r)), next);
-                    next += 1;
-                    link_ids.insert((id(c + 1, r), here), next);
-                    next += 1;
-                }
-                if r + 1 < rows {
-                    link_ids.insert((here, id(c, r + 1)), next);
-                    next += 1;
-                    link_ids.insert((id(c, r + 1), here), next);
-                    next += 1;
-                }
+        for here in 0..cols * rows {
+            if (here + 1) % cols != 0 {
+                links[here][EAST] = next;
+                links[here + 1][WEST] = next + 1;
+                next += 2;
+            }
+            if here + cols < cols * rows {
+                links[here][SOUTH] = next;
+                links[here + cols][NORTH] = next + 1;
+                next += 2;
             }
         }
         Self {
             cols,
             rows,
-            link_ids,
+            links,
             num_links: next,
         }
     }
@@ -108,11 +118,21 @@ impl Mesh2D {
         (node % self.cols, node / self.cols)
     }
 
-    fn link(&self, from: usize, to: usize) -> LinkId {
-        *self
-            .link_ids
-            .get(&(from, to))
-            .unwrap_or_else(|| panic!("no mesh link {from}->{to}"))
+    /// Appends `steps` hops from `node` in direction `dir`, each moving the
+    /// node index by `stride`; returns the node reached.
+    fn walk(
+        &self,
+        mut node: usize,
+        dir: usize,
+        stride: isize,
+        steps: usize,
+        route: &mut Vec<LinkId>,
+    ) -> usize {
+        for _ in 0..steps {
+            route.push(self.links[node][dir]);
+            node = node.wrapping_add_signed(stride);
+        }
+        node
     }
 }
 
@@ -130,26 +150,24 @@ impl Topology for Mesh2D {
         src: usize,
         dst: usize,
         _choose: &mut dyn FnMut(&[LinkId]) -> usize,
-    ) -> Vec<LinkId> {
+        route: &mut Vec<LinkId>,
+    ) {
         assert!(
             src < self.endpoints() && dst < self.endpoints(),
             "node out of range"
         );
-        let (mut c, mut r) = self.coords(src);
+        route.clear();
+        let (sc, sr) = self.coords(src);
         let (dc, dr) = self.coords(dst);
-        let mut route = Vec::new();
-        let id = |c: usize, r: usize| r * self.cols + c;
-        while c != dc {
-            let next_c = if dc > c { c + 1 } else { c - 1 };
-            route.push(self.link(id(c, r), id(next_c, r)));
-            c = next_c;
-        }
-        while r != dr {
-            let next_r = if dr > r { r + 1 } else { r - 1 };
-            route.push(self.link(id(c, r), id(c, next_r)));
-            r = next_r;
-        }
-        route
+        let cols = self.cols as isize;
+        let (x_dir, x_stride) = if dc > sc { (EAST, 1) } else { (WEST, -1) };
+        let (y_dir, y_stride) = if dr > sr {
+            (SOUTH, cols)
+        } else {
+            (NORTH, -cols)
+        };
+        let turn = self.walk(src, x_dir, x_stride, sc.abs_diff(dc), route);
+        self.walk(turn, y_dir, y_stride, sr.abs_diff(dr), route);
     }
 
     fn name(&self) -> &'static str {
@@ -164,7 +182,8 @@ impl Topology for Mesh2D {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{first_choice, testutil::check_routing_invariants};
+    use crate::topology::first_choice;
+    use crate::topology::testutil::{check_routing_invariants, route_vec};
 
     #[test]
     fn invariants_8x4() {
@@ -175,23 +194,23 @@ mod tests {
     fn route_length_is_manhattan_distance() {
         let m = Mesh2D::new(4, 4);
         // (0,0) -> (3,2): 3 + 2 hops.
-        let route = m.route(0, 2 * 4 + 3, &mut first_choice);
+        let route = route_vec(&m, 0, 2 * 4 + 3, &mut first_choice);
         assert_eq!(route.len(), 5);
     }
 
     #[test]
     fn xy_routing_is_deterministic() {
         let m = Mesh2D::new(4, 4);
-        let a = m.route(1, 14, &mut first_choice);
-        let b = m.route(1, 14, &mut first_choice);
+        let a = route_vec(&m, 1, 14, &mut first_choice);
+        let b = route_vec(&m, 1, 14, &mut first_choice);
         assert_eq!(a, b);
     }
 
     #[test]
     fn opposing_directions_use_distinct_links() {
         let m = Mesh2D::new(2, 1);
-        let fwd = m.route(0, 1, &mut first_choice);
-        let rev = m.route(1, 0, &mut first_choice);
+        let fwd = route_vec(&m, 0, 1, &mut first_choice);
+        let rev = route_vec(&m, 1, 0, &mut first_choice);
         assert_ne!(fwd, rev);
     }
 
@@ -214,13 +233,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_node_panics() {
         let m = Mesh2D::new(2, 2);
-        m.route(0, 99, &mut first_choice);
+        route_vec(&m, 0, 99, &mut first_choice);
     }
 
     #[test]
     fn single_node_mesh() {
         let m = Mesh2D::new(1, 1);
-        assert!(m.route(0, 0, &mut first_choice).is_empty());
+        assert!(route_vec(&m, 0, 0, &mut first_choice).is_empty());
         assert_eq!(m.num_links(), 0);
     }
 }
@@ -229,6 +248,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::topology::first_choice;
+    use crate::topology::testutil::route_vec;
     use proptest::prelude::*;
 
     proptest! {
@@ -238,7 +258,7 @@ mod proptests {
             let m = Mesh2D::new(cols, rows);
             let n = m.endpoints();
             let (src, dst) = (a % n, b % n);
-            let route = m.route(src, dst, &mut first_choice);
+            let route = route_vec(&m, src, dst, &mut first_choice);
             let (sc, sr) = (src % cols, src / cols);
             let (dc, dr) = (dst % cols, dst / cols);
             let manhattan = sc.abs_diff(dc) + sr.abs_diff(dr);

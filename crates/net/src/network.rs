@@ -140,6 +140,9 @@ pub struct Network<T> {
     faults: Vec<Vec<FaultWindow>>,
     rng: SmallRng,
     stats: NetworkStats,
+    /// Route buffer reused by every send, so routing never allocates once
+    /// it has grown to the longest route.
+    route: Vec<LinkId>,
 }
 
 impl<T: Topology> Network<T> {
@@ -153,6 +156,7 @@ impl<T: Topology> Network<T> {
             faults: Vec::new(),
             rng: rng::stream(config.seed, "network-ecmp"),
             stats: NetworkStats::default(),
+            route: Vec::new(),
         }
     }
 
@@ -227,7 +231,15 @@ impl<T: Topology> Network<T> {
     /// attribution. The shares are exhaustive:
     /// `arrival == depart + serialization + queued + propagation`.
     pub fn send_full(&mut self, src: usize, dst: usize, bytes: u64, depart: Cycles) -> SendTrace {
-        let route = self.build_route(src, dst, depart);
+        let mut route = std::mem::take(&mut self.route);
+        self.build_route(src, dst, depart, &mut route);
+        let trace = self.traverse(&route, bytes, depart);
+        self.route = route;
+        trace
+    }
+
+    /// Moves a message along `route`, updating link occupancy and stats.
+    fn traverse(&mut self, route: &[LinkId], bytes: u64, depart: Cycles) -> SendTrace {
         self.stats.messages += 1;
         if route.is_empty() {
             return SendTrace {
@@ -240,7 +252,7 @@ impl<T: Topology> Network<T> {
         let mut t = depart;
         let mut queued = Cycles::ZERO;
         let mut ser_total = Cycles::ZERO;
-        for &link in &route {
+        for &link in route {
             let ser = self.serialization(bytes, link);
             ser_total += ser;
             if self.config.contention {
@@ -264,21 +276,6 @@ impl<T: Topology> Network<T> {
             serialization: ser_total,
             hops: route.len(),
         }
-    }
-
-    /// Latency of an uncontended transfer (for QoS baselines): same path
-    /// length, no queueing, no link-state mutation.
-    pub fn ideal_latency(&self, src: usize, dst: usize, bytes: u64) -> Cycles {
-        let mut first = crate::topology::first_choice;
-        let route = self.topo.route(src, dst, &mut first);
-        if route.is_empty() {
-            return self.config.hop_latency;
-        }
-        let mut t = Cycles::ZERO;
-        for &link in &route {
-            t = t + self.serialization(bytes, link) + self.config.hop_latency;
-        }
-        t
     }
 
     /// Applies `link`'s fault windows to a transfer that would start
@@ -318,7 +315,7 @@ impl<T: Topology> Network<T> {
         Cycles::new(((bytes as f64 / (self.config.bytes_per_cycle * width)).ceil() as u64).max(1))
     }
 
-    fn build_route(&mut self, src: usize, dst: usize, now: Cycles) -> Vec<LinkId> {
+    fn build_route(&mut self, src: usize, dst: usize, now: Cycles, route: &mut Vec<LinkId>) {
         let strategy = self.config.strategy;
         // Split borrows: chooser needs rng and busy_until, route needs topo.
         let busy = &self.busy_until;
@@ -335,7 +332,7 @@ impl<T: Topology> Network<T> {
                     .expect("candidates nonempty"),
             }
         };
-        self.topo.route(src, dst, &mut choose)
+        self.topo.route(src, dst, &mut choose, route);
     }
 }
 
@@ -419,16 +416,6 @@ mod tests {
         let mut net = Network::new(Mesh2D::new(2, 2), NetworkConfig::on_package());
         let arr = net.send(1, 1, 64, Cycles::new(100));
         assert_eq!(arr, Cycles::new(100) + net.config().hop_latency);
-    }
-
-    #[test]
-    fn ideal_latency_matches_first_uncontended_send() {
-        let mut net = Network::new(LeafSpine::paper_default(), NetworkConfig::on_package());
-        let ideal = net.ideal_latency(0, 31, 256);
-        // With no prior traffic, least-loaded picks links with equal (zero)
-        // load, so the realized path has the same shape.
-        let real = net.send(0, 31, 256, Cycles::ZERO);
-        assert_eq!(real, ideal);
     }
 
     #[test]

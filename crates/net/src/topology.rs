@@ -10,11 +10,25 @@ pub type LinkId = usize;
 /// as the attachment point). Links are *directed*: each physical cable
 /// contributes one link per direction, so opposing flows never contend.
 ///
-/// `route` builds one source-to-destination path. Where the topology has
-/// redundant paths (the leaf-spine's multiple spines), the `choose`
-/// callback picks among candidates; it receives the candidate *first links*
-/// of each alternative so the caller can implement random or least-loaded
-/// (adaptive) selection.
+/// `route` writes one source-to-destination path into a caller-owned
+/// buffer, so a sender routes every message without allocating. Where the
+/// topology has redundant paths (the leaf-spine's multiple spines), the
+/// `choose` callback picks among candidates; it receives the candidate
+/// *first links* of each alternative so the caller can implement random or
+/// least-loaded (adaptive) selection.
+///
+/// # Examples
+///
+/// ```
+/// use um_net::{topology::first_choice, Mesh2D, Topology};
+///
+/// let mesh = Mesh2D::new(4, 1);
+/// let mut route = Vec::new();
+/// mesh.route(0, 3, &mut first_choice, &mut route);
+/// assert_eq!(route.len(), 3);
+/// mesh.route(2, 2, &mut first_choice, &mut route); // local delivery
+/// assert!(route.is_empty());
+/// ```
 pub trait Topology {
     /// Number of endpoint nodes.
     fn endpoints(&self) -> usize;
@@ -22,11 +36,13 @@ pub trait Topology {
     /// Total number of directed links.
     fn num_links(&self) -> usize;
 
-    /// Builds a route from `src` to `dst` as a sequence of directed links.
+    /// Replaces the contents of `route` with the route from `src` to `dst`
+    /// as a sequence of directed links.
     ///
-    /// An empty route is returned when `src == dst` (local delivery).
-    /// `choose` is called at every branch point with the candidate link ids
-    /// for the next step and must return an index into that slice.
+    /// The route is empty when `src == dst` (local delivery). `choose` is
+    /// called at every branch point with the candidate link ids for the
+    /// next step and must return an index into that slice. Implementations
+    /// may stage those candidates in `route`'s spare capacity.
     ///
     /// # Panics
     ///
@@ -37,7 +53,8 @@ pub trait Topology {
         src: usize,
         dst: usize,
         choose: &mut dyn FnMut(&[LinkId]) -> usize,
-    ) -> Vec<LinkId>;
+        route: &mut Vec<LinkId>,
+    );
 
     /// Relative bandwidth of a link (1.0 = base link width). Fat trees
     /// widen links towards the root.
@@ -63,14 +80,27 @@ pub fn first_choice(candidates: &[LinkId]) -> usize {
 pub(crate) mod testutil {
     use super::*;
 
+    /// Routes `src` to `dst` into a fresh buffer.
+    pub fn route_vec<T: Topology>(
+        topo: &T,
+        src: usize,
+        dst: usize,
+        choose: &mut dyn FnMut(&[LinkId]) -> usize,
+    ) -> Vec<LinkId> {
+        let mut route = Vec::new();
+        topo.route(src, dst, choose, &mut route);
+        route
+    }
+
     /// Exhaustively checks routing invariants for a topology:
     /// self-routes are empty, all links are in range, route length is
     /// bounded by the diameter.
     pub fn check_routing_invariants<T: Topology>(topo: &T) {
         let n = topo.endpoints();
+        let mut route = Vec::new();
         for src in 0..n {
             for dst in 0..n {
-                let route = topo.route(src, dst, &mut first_choice);
+                topo.route(src, dst, &mut first_choice, &mut route);
                 if src == dst {
                     assert!(route.is_empty(), "self route {src} not empty");
                     continue;

@@ -40,9 +40,10 @@ fn mesh_hops_is_manhattan_distance() {
 #[test]
 fn mesh_hops_matches_route_everywhere() {
     let m = Mesh2D::new(4, 4);
+    let mut route = Vec::new();
     for src in 0..m.endpoints() {
         for dst in 0..m.endpoints() {
-            let route = m.route(src, dst, &mut first);
+            m.route(src, dst, &mut first, &mut route);
             assert_eq!(route.len(), m.hops(src, dst), "{src}->{dst}");
         }
     }
@@ -75,7 +76,8 @@ fn fat_tree_width_cap_limits_root_serialization() {
     // 32 leaves, depth 5: uncapped doubling would make root links 16x,
     // but the default cap holds them at 8x.
     let t = FatTree::new(32);
-    let route = t.route(0, 31, &mut first);
+    let mut route = Vec::new();
+    t.route(0, 31, &mut first, &mut route);
     let max_width = route
         .iter()
         .map(|&l| t.link_width(l))
@@ -87,9 +89,10 @@ fn fat_tree_width_cap_limits_root_serialization() {
 fn fat_tree_hops_matches_route_everywhere() {
     for leaves in [2usize, 4, 8, 32] {
         let t = FatTree::new(leaves);
+        let mut route = Vec::new();
         for src in 0..leaves {
             for dst in 0..leaves {
-                let route = t.route(src, dst, &mut first);
+                t.route(src, dst, &mut first, &mut route);
                 assert_eq!(route.len(), t.hops(src, dst), "{leaves}: {src}->{dst}");
             }
         }
@@ -123,9 +126,10 @@ fn leaf_spine_transit_hand_computed() {
 #[test]
 fn leaf_spine_hops_matches_route_everywhere() {
     let t = LeafSpine::paper_default();
+    let mut route = Vec::new();
     for src in 0..t.endpoints() {
         for dst in 0..t.endpoints() {
-            let route = t.route(src, dst, &mut first);
+            t.route(src, dst, &mut first, &mut route);
             assert_eq!(route.len(), t.hops(src, dst), "{src}->{dst}");
         }
     }

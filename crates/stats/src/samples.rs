@@ -9,8 +9,11 @@ use std::fmt;
 /// experiment-scale measurements (tens of thousands of request latencies);
 /// for unbounded streams use [`crate::Histogram`] instead.
 ///
-/// Percentile queries sort lazily and cache the sorted order, so interleaving
-/// `record` and `percentile` is allowed but re-sorts on each transition.
+/// On an unfrozen set every percentile query sorts a copy of the values;
+/// [`Samples::freeze`] sorts once and caches the order, so later queries
+/// are an index into the cache until the next `record` or `merge` drops
+/// it. [`crate::Summary::of`] needs no freeze: it copies once and selects
+/// its two ranks.
 ///
 /// # Examples
 ///
@@ -106,12 +109,36 @@ impl Samples {
         if self.values.is_empty() {
             return 0.0;
         }
-        let sorted = self.sorted_values();
-        if q <= 0.0 {
-            return sorted[0];
+        self.sorted_values()[rank_index(q, self.values.len())]
+    }
+
+    /// The median and P99 together, as [`crate::Summary::of`] reports them.
+    ///
+    /// A frozen set reads both from its cache. An unfrozen one copies its
+    /// values once and selects the two ranks in place instead of sorting:
+    /// O(n) rather than a sort per query.
+    pub(crate) fn median_and_p99(&self) -> (f64, f64) {
+        let n = self.values.len();
+        if n == 0 {
+            return (0.0, 0.0);
         }
-        let rank = (q * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        let (i50, i99) = (rank_index(0.5, n), rank_index(0.99, n));
+        if self.is_frozen() {
+            return (self.sorted[i50], self.sorted[i99]);
+        }
+        // Exact, not an approximation: two values `total_cmp` calls equal
+        // have identical bits, so the element selected at rank k is the
+        // very value a stable `total_cmp` sort puts at index k. Everything
+        // left of `i99` is then the `i99` smallest values, so the median
+        // is selected within that partition.
+        let mut v = self.values.clone();
+        let (lower, &mut p99, _) = v.select_nth_unstable_by(i99, f64::total_cmp);
+        let p50 = if i50 == i99 {
+            p99
+        } else {
+            *lower.select_nth_unstable_by(i50, f64::total_cmp).1
+        };
+        (p50, p99)
     }
 
     /// P99 tail, the paper's headline metric.
@@ -150,10 +177,14 @@ impl Samples {
         crate::Summary::of(self)
     }
 
+    fn is_frozen(&self) -> bool {
+        self.sorted.len() == self.values.len()
+    }
+
     fn sorted_values(&self) -> Cow<'_, [f64]> {
         // Frozen sets borrow the cache (no per-query allocation — P99 is
         // queried in hot report paths); unfrozen sets sort a copy.
-        if self.sorted.len() == self.values.len() {
+        if self.is_frozen() {
             return Cow::Borrowed(&self.sorted);
         }
         let mut v = self.values.clone();
@@ -161,12 +192,26 @@ impl Samples {
         Cow::Owned(v)
     }
 
-    /// Freezes the sorted cache; subsequent percentile queries are O(1) sorts.
+    /// Sorts the values once and caches the order: until the next
+    /// `record` or `merge`, each percentile query indexes the cache
+    /// instead of sorting a copy.
     pub fn freeze(&mut self) {
         let mut v = self.values.clone();
         v.sort_by(f64::total_cmp);
         self.sorted = v;
     }
+}
+
+/// Index of the `q`-quantile in `len > 0` ascending values under the
+/// nearest-rank rule: rank `ceil(q * len)`, clamped to `1..=len`, with
+/// `q == 0` taking the smallest value. Shared by [`Samples::percentile`]
+/// and [`crate::Summary::of`], so the two cannot disagree.
+fn rank_index(q: f64, len: usize) -> usize {
+    if q <= 0.0 {
+        return 0;
+    }
+    let rank = (q * len as f64).ceil() as usize;
+    rank.clamp(1, len) - 1
 }
 
 impl FromIterator<f64> for Samples {

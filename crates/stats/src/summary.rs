@@ -33,15 +33,19 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Digests a sample set.
+    /// Digests a sample set, copying its values at most once (see
+    /// [`Samples`]); each field is bit-identical to the matching `Samples`
+    /// query.
     pub fn of(samples: &Samples) -> Self {
+        let mean = samples.mean();
+        let (p50, p99) = samples.median_and_p99();
         Self {
             count: samples.len(),
-            mean: samples.mean(),
-            p50: samples.median(),
-            p99: samples.p99(),
+            mean,
+            p50,
+            p99,
             max: samples.max(),
-            tail_to_avg: samples.tail_to_avg(),
+            tail_to_avg: if mean == 0.0 { 0.0 } else { p99 / mean },
         }
     }
 

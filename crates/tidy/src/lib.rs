@@ -241,7 +241,10 @@ impl Rule {
                 "one `rng::stream`/`stream_indexed` tag constructed in two files"
             }
             Rule::FloatAccumulation => "float `+=`/`sum()` (order-dependent reduction)",
-            Rule::PartialCmpSort => "`sort_by(…partial_cmp…)`, `sort_unstable_by` on float keys",
+            Rule::PartialCmpSort => {
+                "`sort_by`/`select_nth_unstable_by` with `partial_cmp`, `sort_unstable_by` on \
+                 float keys"
+            }
             Rule::EnvRead => "`std::env::var` and friends",
             Rule::AsyncInSim => "`async`/`await`/`tokio` in the sim core",
             Rule::ServeRawConfig => {
@@ -788,8 +791,13 @@ fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
 
             // -- determinism: float sorts -------------------------------
             if ctx.is_sim_state_crate() {
-                let has_sort =
-                    |code: &str| code.contains("sort_by") || code.contains("sort_unstable_by");
+                // Selection orders floats too: `select_nth_unstable_by`
+                // with `partial_cmp` panics on NaN like the sorts do.
+                let has_sort = |code: &str| {
+                    code.contains("sort_by")
+                        || code.contains("sort_unstable_by")
+                        || code.contains("select_nth_unstable_by")
+                };
                 let fires = (cleaned.contains("partial_cmp")
                     && statement_scan(&lexed.lines, idx, has_sort))
                     || (cleaned.contains("sort_unstable_by")
@@ -1318,6 +1326,14 @@ mod tests {
             check_source("crates/stats/src/x.rs", src)[0].rule,
             Rule::PartialCmpSort
         );
+        let select = "v.select_nth_unstable_by(k, |a, b| a.partial_cmp(b).unwrap());\n";
+        assert_eq!(
+            check_source("crates/stats/src/x.rs", select)[0].rule,
+            Rule::PartialCmpSort
+        );
+        // Selecting by total_cmp is exact and deterministic.
+        let exact = "v.select_nth_unstable_by(k, f64::total_cmp);\n";
+        assert!(check_source("crates/stats/src/x.rs", exact).is_empty());
         let unstable = "v.sort_unstable_by(|a, b| (a.0 as f64).total_cmp(&(b.0 as f64)));\n";
         assert_eq!(
             check_source("crates/core/src/x.rs", unstable)[0].rule,

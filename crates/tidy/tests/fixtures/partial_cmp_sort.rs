@@ -20,3 +20,15 @@ pub fn by_id(pairs: &mut [(u32, f32)]) {
 pub fn sanctioned(v: &mut [f64]) {
     v.sort_by(f64::total_cmp);
 }
+
+/// Selection with `partial_cmp().unwrap()` panics on NaN too: fires.
+pub fn p99(mut v: Vec<f64>) -> f64 {
+    let k = v.len() * 99 / 100;
+    *v.select_nth_unstable_by(k, |a, b| a.partial_cmp(b).unwrap()).1
+}
+
+/// Selecting by total_cmp yields the exact k-th value: must not fire.
+pub fn p99_exact(mut v: Vec<f64>) -> f64 {
+    let k = v.len() * 99 / 100;
+    *v.select_nth_unstable_by(k, f64::total_cmp).1
+}
