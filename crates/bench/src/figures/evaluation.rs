@@ -9,9 +9,9 @@ use um_stats::table::{f1, f2, Table};
 use um_workload::trainticket::TrainTicket;
 use umanycore::experiments::evaluation::{
     app_grid, area_power_rows, fig15_grid, fig15_row, fig18_grid, fig19_grid, fig20_rows,
-    iso_area_rows, LOADS,
+    iso_area_rows, machines, LOADS,
 };
-use umanycore::experiments::{motivation, parallel, run_machine};
+use umanycore::experiments::{motivation, parallel, sweep};
 use umanycore::{RunReport, SimConfig, Workload};
 
 use crate::{header_text, EnvScale};
@@ -498,7 +498,7 @@ pub(super) fn other_suites(env: EnvScale) -> String {
         "Other suites: TrainTicket",
         "Tail latency normalized to ServerClass, TrainTicket booking path at 10K RPS.",
     );
-    let apps = TrainTicket::new();
+    let graph = TrainTicket::graph();
     let mut t = Table::with_columns(&[
         "app",
         "ServerClass(ms)",
@@ -507,32 +507,16 @@ pub(super) fn other_suites(env: EnvScale) -> String {
         "uManycore",
     ]);
     let mut reductions = Vec::new();
-    let variants = || {
-        [
-            MachineConfig::server_class_iso_power(),
-            MachineConfig::scaleout(),
-            MachineConfig::umanycore(),
-        ]
-    };
-    // All app x machine points in parallel; the three machines of one
-    // app share the seed so the normalization is paired.
-    let points: Vec<(usize, MachineConfig)> = (0..TrainTicket::ALL.len())
-        .flat_map(|a| variants().map(|m| (a, m)))
+    // All app x machine points in parallel; every app shares the seed and
+    // the three machines of one app are paired.
+    let rows: Vec<SimConfig> = TrainTicket::ALL
+        .iter()
+        .map(|&root| scale.config(Workload::train_app(root), 10_000.0))
         .collect();
-    let tails = parallel::map(points, |_, (a, machine)| {
-        run_machine(
-            machine,
-            Workload::train_app(TrainTicket::ALL[a]),
-            10_000.0,
-            scale,
-        )
-        .latency
-        .p99
-    });
-    for (&root, chunk) in TrainTicket::ALL.iter().zip(tails.chunks_exact(3)) {
-        let (sc, so, um) = (chunk[0], chunk[1], chunk[2]);
+    for (&root, reports) in TrainTicket::ALL.iter().zip(sweep(&rows, &machines())) {
+        let [sc, so, um] = [0, 1, 2].map(|m| reports[m].latency.p99);
         t.row(vec![
-            apps.profile(root).name.to_string(),
+            graph.profile(root).name.to_string(),
             f1(sc / 1000.0),
             "1.00".to_string(),
             f2(so / sc),

@@ -12,12 +12,12 @@ use um_stats::table::{f1, f2, f3, Table};
 use um_stats::Samples;
 use um_workload::apps::SocialNetwork;
 use um_workload::synthetic::SyntheticWorkload;
-use um_workload::{ServiceId, ServiceTimeDist};
+use um_workload::ServiceTimeDist;
 use umanycore::experiments::cluster::{cluster_autoscale_rows, cluster_tail_rows};
 use umanycore::experiments::resilience::{
     degradation_sweep, fault_tail_sweep, hedging_ablation, RESILIENCE_RPS,
 };
-use umanycore::experiments::{parallel, run_machine};
+use umanycore::experiments::{parallel, sweep};
 use umanycore::{ArrivalProcess, SimConfig, Workload};
 
 use crate::{header_text, EnvScale};
@@ -46,25 +46,21 @@ pub(super) fn ablation_hetero(env: EnvScale) -> String {
             MachineConfig::umanycore_heterogeneous(32),
         ),
     ];
-    let apps = SocialNetwork::new();
+    let graph = SocialNetwork::graph();
     let mut t = Table::with_columns(&["app", "homogeneous p99", "16-big p99", "32-big p99"]);
     let roots = [
         SocialNetwork::CPOST,
         SocialNetwork::TEXT,
         SocialNetwork::URL_SHORT,
     ];
-    let points: Vec<(ServiceId, MachineConfig)> = roots
+    let rows: Vec<SimConfig> = roots
         .iter()
-        .flat_map(|&root| machines.iter().map(move |(_, m)| (root, m.clone())))
+        .map(|&root| scale.config(Workload::social_app(root), 15_000.0))
         .collect();
-    let tails = parallel::map(points, |_, (root, m)| {
-        run_machine(m, Workload::social_app(root), 15_000.0, scale)
-            .latency
-            .p99
-    });
-    for (&root, chunk) in roots.iter().zip(tails.chunks_exact(machines.len())) {
-        let mut cells = vec![apps.profile(root).name.to_string()];
-        cells.extend(chunk.iter().map(|&p99| f1(p99)));
+    let columns: Vec<MachineConfig> = machines.iter().map(|(_, m)| m.clone()).collect();
+    for (&root, reports) in roots.iter().zip(sweep(&rows, &columns)) {
+        let mut cells = vec![graph.profile(root).name.to_string()];
+        cells.extend(reports.iter().map(|r| f1(r.latency.p99)));
         t.row(cells);
     }
     out.push_str(&t.render());

@@ -9,6 +9,12 @@
 //! (inline spans and fenced blocks), the word after `--bin` must be a
 //! `[[bin]]` a manifest declares, and the word after `um-sweep` or
 //! `-p um-bench --` must be an entry of the results table.
+//!
+//! A module citation — an inline span `um-<crate>::<module>`,
+//! `um_<crate>::<module>` or `umanycore::<module>`, optionally followed by
+//! more `::` segments — must name a workspace package and a module it
+//! defines in `src/<module>.rs` or `src/<module>/mod.rs`. Segments that
+//! start with an uppercase letter (types) are not modules and are skipped.
 
 use std::path::{Path, PathBuf};
 
@@ -27,8 +33,8 @@ fn workspace_root() -> &'static Path {
         .expect("workspace root")
 }
 
-/// Inline code spans outside fenced blocks that look like repo paths.
-fn cited_paths(markdown: &str) -> Vec<String> {
+/// Inline code spans outside fenced blocks, without whitespace.
+fn prose_spans(markdown: &str) -> Vec<String> {
     let mut prose = String::new();
     let mut fenced = false;
     for line in markdown.lines() {
@@ -44,8 +50,34 @@ fn cited_paths(markdown: &str) -> Vec<String> {
         .skip(1)
         .step_by(2)
         .filter(|t| !t.contains(char::is_whitespace))
-        .filter(|t| PREFIXES.iter().any(|p| t.starts_with(p)))
         .map(str::to_owned)
+        .collect()
+}
+
+/// Inline code spans outside fenced blocks that look like repo paths.
+fn cited_paths(markdown: &str) -> Vec<String> {
+    prose_spans(markdown)
+        .into_iter()
+        .filter(|t| PREFIXES.iter().any(|p| t.starts_with(p)))
+        .collect()
+}
+
+/// `(package, module)` pairs of the module citations among the inline
+/// spans, with `um_x` crate names spelled as the package `um-x`.
+fn cited_modules(markdown: &str) -> Vec<(String, String)> {
+    prose_spans(markdown)
+        .iter()
+        .filter_map(|span| {
+            let mut segments = span.split("::");
+            let krate = segments.next()?.replace('_', "-");
+            let module = segments.next()?;
+            let is_crate = krate == "umanycore" || krate.starts_with("um-");
+            let is_module = module.starts_with(|c: char| c.is_ascii_lowercase())
+                && module
+                    .chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+            (is_crate && is_module).then(|| (krate, module.to_owned()))
+        })
         .collect()
 }
 
@@ -162,27 +194,71 @@ fn cited_commands(snippet: &str) -> Vec<(&'static str, String)> {
     out
 }
 
-/// Every `[[bin]]` name the workspace members under `crates/` declare.
-fn declared_binaries(root: &Path) -> Vec<String> {
-    let mut out = Vec::new();
-    for member in std::fs::read_dir(root.join("crates"))
+/// The directory and `Cargo.toml` text of every member under `crates/`.
+fn manifests(root: &Path) -> Vec<(PathBuf, String)> {
+    std::fs::read_dir(root.join("crates"))
         .into_iter()
         .flatten()
         .flatten()
-    {
-        let Ok(text) = std::fs::read_to_string(member.path().join("Cargo.toml")) else {
-            continue;
-        };
-        let mut in_bin = false;
-        for line in text.lines().map(str::trim) {
-            if line.starts_with('[') {
-                in_bin = line == "[[bin]]";
-            } else if let Some(name) = line.strip_prefix("name = ").filter(|_| in_bin) {
-                out.push(name.trim_matches('"').to_owned());
-            }
+        .filter_map(|member| {
+            let text = std::fs::read_to_string(member.path().join("Cargo.toml")).ok()?;
+            Some((member.path(), text))
+        })
+        .collect()
+}
+
+/// The `name = "..."` entries of one manifest section kind
+/// (`[package]` or `[[bin]]`).
+fn section_names(manifest: &str, section: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut inside = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = line == section;
+        } else if let Some(name) = line.strip_prefix("name = ").filter(|_| inside) {
+            out.push(name.trim_matches('"').to_owned());
         }
     }
     out
+}
+
+/// Every `[[bin]]` name the workspace members under `crates/` declare.
+fn declared_binaries(root: &Path) -> Vec<String> {
+    manifests(root)
+        .iter()
+        .flat_map(|(_, text)| section_names(text, "[[bin]]"))
+        .collect()
+}
+
+/// Whether workspace package `package` defines module `module` as
+/// `src/<module>.rs` or `src/<module>/mod.rs`.
+fn module_exists(root: &Path, package: &str, module: &str) -> bool {
+    manifests(root).iter().any(|(dir, text)| {
+        section_names(text, "[package]")
+            .iter()
+            .any(|n| n == package)
+            && (dir.join("src").join(format!("{module}.rs")).is_file()
+                || dir.join("src").join(module).join("mod.rs").is_file())
+    })
+}
+
+#[test]
+fn docs_cite_only_existing_modules() {
+    let root = workspace_root();
+    let mut missing = Vec::new();
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).expect("doc exists");
+        for (package, module) in cited_modules(&text) {
+            if !module_exists(root, &package, &module) {
+                missing.push(format!("{doc}: `{package}::{module}`"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "docs cite modules that do not exist:\n{}",
+        missing.join("\n")
+    );
 }
 
 #[test]
@@ -252,4 +328,23 @@ fn path_matching_handles_braces_globs_and_deleted_files() {
         cited_paths("see `BENCH_engine.json` and `cargo run`\n```\n`crates/x`\n```\n"),
         ["BENCH_engine.json"]
     );
+}
+
+#[test]
+fn module_citations_are_recognized_and_resolved() {
+    let cite = |s: &str| cited_modules(s);
+    assert_eq!(
+        cite("`um-arch::config`, `um_sim::rng::derive_seed`, `umanycore::experiments`"),
+        [
+            ("um-arch".to_owned(), "config".to_owned()),
+            ("um-sim".to_owned(), "rng".to_owned()),
+            ("umanycore".to_owned(), "experiments".to_owned()),
+        ]
+    );
+    assert!(cite("`umanycore::Workload` `um-net` `std::fs` `a::b c`").is_empty());
+    let root = workspace_root();
+    assert!(module_exists(root, "um-sim", "rng"));
+    assert!(module_exists(root, "umanycore", "experiments"));
+    assert!(!module_exists(root, "um-workload", "profiles"));
+    assert!(!module_exists(root, "um-nope", "rng"));
 }

@@ -356,16 +356,7 @@ impl ClusterSim {
         // M/M/k oracle needs a single Poisson stream at λ = k·λ_node).
         let rate = cfg.rps_per_node * cfg.nodes as f64;
         let arrival_seed = simrng::stream(cfg.seed, "cluster-arrivals").gen::<u64>();
-        let times = match cfg.arrivals {
-            ArrivalProcess::Poisson => {
-                um_workload::PoissonArrivals::new(rate, arrival_seed).within(cfg.horizon_us)
-            }
-            ArrivalProcess::Bursty => {
-                let mut mmpp = um_workload::Mmpp::alibaba_like(rate, arrival_seed);
-                mmpp.within(cfg.horizon_us)
-            }
-            ArrivalProcess::Injected => unreachable!("rejected above"),
-        };
+        let times = cfg.arrivals.times(rate, arrival_seed, cfg.horizon_us);
         let mut events = EventQueue::with_capacity(times.len() + 64);
         for t in &times {
             events.schedule_at(Cycles::from_micros(*t, freq), ClusterEvent::Arrival);

@@ -1,13 +1,12 @@
 //! Drivers for the evaluation figures (§6).
 
-use super::{parallel, run_machine, Scale};
+use super::{grid, sweep, Scale};
 use crate::qos::{self, QosResult};
 use crate::report::RunReport;
 use crate::system::SimConfig;
 use crate::workload::Workload;
 use um_arch::config::{CoherenceDomain, IcnKind, MachineConfig, TopologyShape};
 use um_sched::CtxSwitchModel;
-use um_sim::rng;
 use um_workload::apps::SocialNetwork;
 use um_workload::synthetic::SyntheticWorkload;
 use um_workload::ServiceId;
@@ -15,12 +14,12 @@ use um_workload::ServiceId;
 /// The paper's three load levels, RPS per server (§5).
 pub const LOADS: [f64; 3] = [5_000.0, 10_000.0, 15_000.0];
 
-/// The three machines in figure order.
-pub fn machines() -> [(&'static str, MachineConfig); 3] {
+/// The three machines in figure order: ServerClass, ScaleOut, uManycore.
+pub fn machines() -> [MachineConfig; 3] {
     [
-        ("ServerClass", MachineConfig::server_class_iso_power()),
-        ("ScaleOut", MachineConfig::scaleout()),
-        ("uManycore", MachineConfig::umanycore()),
+        MachineConfig::server_class_iso_power(),
+        MachineConfig::scaleout(),
+        MachineConfig::umanycore(),
     ]
 }
 
@@ -51,25 +50,48 @@ impl AppRow {
     }
 }
 
+/// Every SocialNetwork root in figure order, each with its own row seed
+/// derived from `scale.seed` and the root's position.
+fn every_app(scale: Scale) -> Vec<(ServiceId, Scale)> {
+    SocialNetwork::ALL
+        .iter()
+        .enumerate()
+        .map(|(a, &root)| (root, scale.row(a)))
+        .collect()
+}
+
+/// One sweep row per `(root, scale)`: that single app at `rps`.
+fn app_configs(rows: &[(ServiceId, Scale)], rps: f64) -> Vec<SimConfig> {
+    rows.iter()
+        .map(|&(root, scale)| scale.config(Workload::social_app(root), rps))
+        .collect()
+}
+
+/// Runs each `(root, scale)` row at `rps` on the three machines.
+fn app_rows(rows: &[(ServiceId, Scale)], rps: f64) -> Vec<AppRow> {
+    let graph = SocialNetwork::graph();
+    rows.iter()
+        .zip(sweep(&app_configs(rows, rps), &machines()))
+        .map(|(&(root, _), reports)| {
+            let [sc, so, um]: [RunReport; 3] = reports.try_into().expect("three machines");
+            AppRow {
+                app: graph.profile(root).name,
+                rps,
+                server_class: sc,
+                scaleout: so,
+                umanycore: um,
+            }
+        })
+        .collect()
+}
+
 /// Runs one app at one load on all three machines (a Figure 14/16/17
 /// cell), fanned out across the sweep worker pool.
 ///
 /// The three machines share the row's seed (common random numbers), so
 /// the normalized bars compare machines on the same arrival draws.
 pub fn app_row(root: ServiceId, rps: f64, scale: Scale) -> AppRow {
-    let apps = SocialNetwork::new();
-    let name = apps.profile(root).name;
-    let reports = parallel::map(machines().to_vec(), |_, (_, machine)| {
-        run_machine(machine, Workload::social_app(root), rps, scale)
-    });
-    let [sc, so, um]: [RunReport; 3] = reports.try_into().expect("three machines");
-    AppRow {
-        app: name,
-        rps,
-        server_class: sc,
-        scaleout: so,
-        umanycore: um,
-    }
+    app_rows(&[(root, scale)], rps).remove(0)
 }
 
 /// Runs the full Figure 14/16/17 grid at one load: 8 apps x 3 machines,
@@ -79,33 +101,7 @@ pub fn app_row(root: ServiceId, rps: f64, scale: Scale) -> AppRow {
 /// row's index, so rows are statistically independent while the three
 /// machines within a row stay seed-paired.
 pub fn app_grid(rps: f64, scale: Scale) -> Vec<AppRow> {
-    let points: Vec<(usize, MachineConfig)> = (0..SocialNetwork::ALL.len())
-        .flat_map(|a| machines().map(|(_, m)| (a, m)))
-        .collect();
-    let reports = parallel::map(points, |_, (a, machine)| {
-        let row_scale = Scale {
-            seed: rng::derive_seed(scale.seed, a as u64),
-            ..scale
-        };
-        run_machine(
-            machine,
-            Workload::social_app(SocialNetwork::ALL[a]),
-            rps,
-            row_scale,
-        )
-    });
-    let apps = SocialNetwork::new();
-    SocialNetwork::ALL
-        .iter()
-        .zip(reports.chunks_exact(3))
-        .map(|(&root, r)| AppRow {
-            app: apps.profile(root).name,
-            rps,
-            server_class: r[0].clone(),
-            scaleout: r[1].clone(),
-            umanycore: r[2].clone(),
-        })
-        .collect()
+    app_rows(&every_app(scale), rps)
 }
 
 // ---------------------------------------------------------------------
@@ -165,22 +161,29 @@ pub struct Fig15Row {
     pub reductions: Vec<f64>,
 }
 
+/// Runs each `(root, scale)` row's ablation at `rps` over every stage.
+fn fig15_rows(rows: &[(ServiceId, Scale)], rps: f64) -> Vec<Fig15Row> {
+    let stages: Vec<MachineConfig> = ablation_stages().into_iter().map(|(_, m)| m).collect();
+    let graph = SocialNetwork::graph();
+    rows.iter()
+        .zip(sweep(&app_configs(rows, rps), &stages))
+        .map(|(&(root, _), reports)| {
+            let base = reports[0].latency.p99;
+            Fig15Row {
+                app: graph.profile(root).name,
+                reductions: reports[1..].iter().map(|r| base / r.latency.p99).collect(),
+            }
+        })
+        .collect()
+}
+
 /// Runs the Figure 15 ablation for one app at `rps` (the paper uses
 /// 15 K RPS).
+///
+/// All stages share the seed: the reductions are paired ratios, so every
+/// stage sees the same arrival draws.
 pub fn fig15_row(root: ServiceId, rps: f64, scale: Scale) -> Fig15Row {
-    let apps = SocialNetwork::new();
-    let name = apps.profile(root).name;
-    // All stages share the seed: the reductions are paired ratios, so
-    // every stage sees the same arrival draws.
-    let tails: Vec<f64> = parallel::map(ablation_stages(), |_, (_, machine)| {
-        run_machine(machine, Workload::social_app(root), rps, scale)
-            .latency
-            .p99
-    });
-    Fig15Row {
-        app: name,
-        reductions: tails[1..].iter().map(|t| tails[0] / t).collect(),
-    }
+    fig15_rows(&[(root, scale)], rps).remove(0)
 }
 
 /// Runs the Figure 15 ablation for all eight apps: 8 apps x 5 stages,
@@ -189,38 +192,7 @@ pub fn fig15_row(root: ServiceId, rps: f64, scale: Scale) -> Fig15Row {
 /// Each app derives its own seed from `scale.seed`; the stages within
 /// an app share it (the reductions are paired ratios).
 pub fn fig15_grid(rps: f64, scale: Scale) -> Vec<Fig15Row> {
-    let stages = ablation_stages();
-    let points: Vec<(usize, MachineConfig)> = (0..SocialNetwork::ALL.len())
-        .flat_map(|a| {
-            stages
-                .iter()
-                .map(move |(_, m)| (a, m.clone()))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let tails = parallel::map(points, |_, (a, machine)| {
-        let row_scale = Scale {
-            seed: rng::derive_seed(scale.seed, a as u64),
-            ..scale
-        };
-        run_machine(
-            machine,
-            Workload::social_app(SocialNetwork::ALL[a]),
-            rps,
-            row_scale,
-        )
-        .latency
-        .p99
-    });
-    let apps = SocialNetwork::new();
-    SocialNetwork::ALL
-        .iter()
-        .zip(tails.chunks_exact(stages.len()))
-        .map(|(&root, t)| Fig15Row {
-            app: apps.profile(root).name,
-            reductions: t[1..].iter().map(|tail| t[0] / tail).collect(),
-        })
-        .collect()
+    fig15_rows(&every_app(scale), rps)
 }
 
 // ---------------------------------------------------------------------
@@ -246,26 +218,15 @@ pub struct Fig18Row {
 /// Each app derives its own seed from `scale.seed`; the three machines
 /// within an app share it (the bars are normalized to ServerClass).
 pub fn fig18_grid(scale: Scale, hi_rps: f64) -> Vec<Fig18Row> {
-    let bases: Vec<SimConfig> = (0..SocialNetwork::ALL.len())
-        .flat_map(|a| {
-            machines().map(|(_, machine)| SimConfig {
-                machine,
-                workload: Workload::social_app(SocialNetwork::ALL[a]),
-                servers: scale.servers,
-                horizon_us: scale.horizon_us,
-                warmup_us: scale.warmup_us,
-                seed: rng::derive_seed(scale.seed, a as u64),
-                ..SimConfig::default()
-            })
-        })
-        .collect();
-    let results = qos::max_qos_throughput_many(bases, hi_rps / 512.0, hi_rps);
-    let apps = SocialNetwork::new();
+    // The search sets each probe's load; `hi_rps` is only a placeholder.
+    let rows = app_configs(&every_app(scale), hi_rps);
+    let results = qos::max_qos_throughput_many(grid(&rows, &machines()), hi_rps / 512.0, hi_rps);
+    let graph = SocialNetwork::graph();
     SocialNetwork::ALL
         .iter()
         .zip(results.chunks_exact(3))
         .map(|(&root, r)| Fig18Row {
-            app: apps.profile(root).name,
+            app: graph.profile(root).name,
             server_class: r[0],
             scaleout: r[1],
             umanycore: r[2],
@@ -293,31 +254,21 @@ pub struct Fig19Row {
 /// Each app derives its own seed from `scale.seed`; the shapes within
 /// an app share it (tails are normalized to the first shape).
 pub fn fig19_grid(rps: f64, scale: Scale) -> Vec<Fig19Row> {
-    let shapes = TopologyShape::FIG19_SWEEP;
-    let points: Vec<(usize, TopologyShape)> = (0..SocialNetwork::ALL.len())
-        .flat_map(|a| shapes.iter().map(move |&s| (a, s)))
+    let rows = app_configs(&every_app(scale), rps);
+    let shapes: Vec<MachineConfig> = TopologyShape::FIG19_SWEEP
+        .iter()
+        .map(|&shape| MachineConfig::umanycore_shaped(shape))
         .collect();
-    let tails = parallel::map(points, |_, (a, shape)| {
-        let row_scale = Scale {
-            seed: rng::derive_seed(scale.seed, a as u64),
-            ..scale
-        };
-        run_machine(
-            MachineConfig::umanycore_shaped(shape),
-            Workload::social_app(SocialNetwork::ALL[a]),
-            rps,
-            row_scale,
-        )
-        .latency
-        .p99
-    });
-    let apps = SocialNetwork::new();
+    let graph = SocialNetwork::graph();
     SocialNetwork::ALL
         .iter()
-        .zip(tails.chunks_exact(shapes.len()))
-        .map(|(&root, t)| Fig19Row {
-            app: apps.profile(root).name,
-            norm_tails: t.iter().map(|tail| tail / t[0]).collect(),
+        .zip(sweep(&rows, &shapes))
+        .map(|(&root, reports)| Fig19Row {
+            app: graph.profile(root).name,
+            norm_tails: reports
+                .iter()
+                .map(|r| r.latency.p99 / reports[0].latency.p99)
+                .collect(),
         })
         .collect()
 }
@@ -348,26 +299,20 @@ pub struct Fig20Row {
 /// machines within a row share it so the normalization is paired.
 pub fn fig20_rows(scale: Scale, loads: &[f64], mean_service_us: f64) -> Vec<Fig20Row> {
     let mut row_meta = Vec::new();
-    let mut points = Vec::new();
+    let mut rows = Vec::new();
     for (label, synth) in SyntheticWorkload::paper_suite(mean_service_us) {
         for &rps in loads {
-            let row = row_meta.len();
+            rows.push(
+                scale
+                    .row(rows.len())
+                    .config(Workload::Synthetic(synth), rps),
+            );
             row_meta.push((label, rps));
-            for (_, machine) in machines() {
-                points.push((row, synth, rps, machine));
-            }
         }
     }
-    let reports = parallel::map(points, |_, (row, synth, rps, machine)| {
-        let row_scale = Scale {
-            seed: rng::derive_seed(scale.seed, row as u64),
-            ..scale
-        };
-        run_machine(machine, Workload::Synthetic(synth), rps, row_scale)
-    });
     row_meta
         .iter()
-        .zip(reports.chunks_exact(3))
+        .zip(sweep(&rows, &machines()))
         .map(|(&(label, rps), r)| Fig20Row {
             dist: label,
             rps,
@@ -401,26 +346,19 @@ pub struct IsoAreaRow {
 /// Each load row derives its own seed; the three machines within a row
 /// share it so the comparison is paired.
 pub fn iso_area_rows(scale: Scale, loads: &[f64]) -> Vec<IsoAreaRow> {
-    let variants = || {
-        [
-            MachineConfig::server_class_iso_area(),
-            MachineConfig::scaleout(),
-            MachineConfig::umanycore(),
-        ]
-    };
-    let points: Vec<(usize, MachineConfig)> = (0..loads.len())
-        .flat_map(|li| variants().map(|m| (li, m)))
+    let rows: Vec<SimConfig> = loads
+        .iter()
+        .enumerate()
+        .map(|(li, &rps)| scale.row(li).config(Workload::social_mix(), rps))
         .collect();
-    let reports = parallel::map(points, |_, (li, machine)| {
-        let row_scale = Scale {
-            seed: rng::derive_seed(scale.seed, li as u64),
-            ..scale
-        };
-        run_machine(machine, Workload::social_mix(), loads[li], row_scale)
-    });
+    let machines = [
+        MachineConfig::server_class_iso_area(),
+        MachineConfig::scaleout(),
+        MachineConfig::umanycore(),
+    ];
     loads
         .iter()
-        .zip(reports.chunks_exact(3))
+        .zip(sweep(&rows, &machines))
         .map(|(&rps, r)| IsoAreaRow {
             rps,
             server_class_128_tail_us: r[0].latency.p99,

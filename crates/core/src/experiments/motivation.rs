@@ -1,6 +1,6 @@
 //! Drivers for the motivation/characterization figures (§2–§3).
 
-use super::{parallel, Scale};
+use super::{parallel, sweep, Scale};
 use crate::system::{SimConfig, SystemSim};
 use crate::workload::Workload;
 use um_arch::config::{IcnKind, MachineConfig};
@@ -254,37 +254,35 @@ pub const FIG6_CS: [u64; 10] = [0, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192
 /// so the normalization to the zero-overhead run is paired (and the
 /// `cs = 0` point is exactly 1.0).
 pub fn fig6_rows(scale: Scale, loads: &[f64]) -> Vec<Fig6Row> {
-    let points: Vec<(usize, u64)> = (0..loads.len())
-        .flat_map(|li| FIG6_CS.iter().map(move |&cs| (li, cs)))
-        .collect();
-    let tails = parallel::map(points.clone(), |_, (li, cs)| {
-        let mut machine = MachineConfig::scaleout();
-        machine.ctx_switch = CtxSwitchModel::Custom(cs);
-        SystemSim::new(SimConfig {
-            machine,
-            workload: Workload::social_mix(),
-            rps_per_server: loads[li],
-            servers: scale.servers,
-            horizon_us: scale.horizon_us,
-            warmup_us: scale.warmup_us,
-            seed: rng::derive_seed(scale.seed, li as u64),
+    let rows: Vec<SimConfig> = loads
+        .iter()
+        .enumerate()
+        .map(|(li, &rps)| SimConfig {
             // Context-switch cost is the variable under study; ICN
             // contention is studied separately (Figure 7).
             icn_contention: false,
-            ..SimConfig::default()
+            ..scale.row(li).config(Workload::social_mix(), rps)
         })
-        .run()
-        .latency
-        .p99
-    });
-    // FIG6_CS[0] is 0, so each load's chunk leads with its baseline.
-    points
+        .collect();
+    let machines: Vec<MachineConfig> = FIG6_CS
         .iter()
-        .zip(&tails)
-        .map(|(&(li, cs), &tail)| Fig6Row {
-            cs_cycles: cs,
-            rps: loads[li],
-            norm_tail: tail / tails[li * FIG6_CS.len()],
+        .map(|&cs| {
+            let mut machine = MachineConfig::scaleout();
+            machine.ctx_switch = CtxSwitchModel::Custom(cs);
+            machine
+        })
+        .collect();
+    // FIG6_CS[0] is 0, so each load's row leads with its baseline.
+    loads
+        .iter()
+        .zip(sweep(&rows, &machines))
+        .flat_map(|(&rps, reports)| {
+            let base = reports[0].latency.p99;
+            FIG6_CS.iter().zip(reports).map(move |(&cs, r)| Fig6Row {
+                cs_cycles: cs,
+                rps,
+                norm_tail: r.latency.p99 / base,
+            })
         })
         .collect()
 }

@@ -101,6 +101,21 @@ pub enum ArrivalProcess {
     Injected,
 }
 
+impl ArrivalProcess {
+    /// Arrival times in microseconds before `horizon_us` at `rate_rps`,
+    /// drawn from `seed`; none for [`ArrivalProcess::Injected`].
+    pub(crate) fn times(self, rate_rps: f64, seed: u64, horizon_us: f64) -> Vec<f64> {
+        match self {
+            ArrivalProcess::Poisson => PoissonArrivals::new(rate_rps, seed).within(horizon_us),
+            ArrivalProcess::Bursty => {
+                um_workload::Mmpp::alibaba_like(rate_rps, seed).within(horizon_us)
+            }
+            // An outer driver injects arrivals one by one.
+            ArrivalProcess::Injected => Vec::new(),
+        }
+    }
+}
+
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
@@ -617,17 +632,7 @@ impl SystemSim {
         let mut events = EventQueue::with_capacity(expected_arrivals + expected_arrivals / 8 + 64);
         for s in 0..cfg.servers {
             let seed = simrng::stream_indexed(cfg.seed, "server-arrivals", s as u64).gen::<u64>();
-            let arrivals = match cfg.arrivals {
-                ArrivalProcess::Poisson => {
-                    PoissonArrivals::new(cfg.rps_per_server, seed).within(cfg.horizon_us)
-                }
-                ArrivalProcess::Bursty => {
-                    let mut mmpp = um_workload::Mmpp::alibaba_like(cfg.rps_per_server, seed);
-                    mmpp.within(cfg.horizon_us)
-                }
-                // The cluster layer injects arrivals one by one.
-                ArrivalProcess::Injected => Vec::new(),
-            };
+            let arrivals = cfg.arrivals.times(cfg.rps_per_server, seed, cfg.horizon_us);
             for t in arrivals {
                 events.schedule_at(
                     Cycles::from_micros(t, freq),

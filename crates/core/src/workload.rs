@@ -9,44 +9,33 @@ use um_workload::{RequestPlan, ServiceGraph, ServiceId};
 /// Which workload a system run draws requests from.
 #[derive(Clone, Debug)]
 pub enum Workload {
-    /// One SocialNetwork root service (a Figure 14 per-app run); nested
-    /// calls still reach the whole graph.
-    SocialApp {
-        /// The root service external requests invoke.
-        root: ServiceId,
-        /// The application graph.
-        apps: SocialNetwork,
-    },
-    /// A uniform mix over all eight SocialNetwork roots (Figures 3, 6, 7).
-    SocialMix {
-        /// The application graph.
-        apps: SocialNetwork,
-    },
-    /// A synthetic uSuite-style workload (Figure 20).
-    Synthetic(SyntheticWorkload),
-    /// Any custom application graph; `root` pins one externally invoked
-    /// service, `None` draws uniformly over the graph's roots.
+    /// An application graph (SocialNetwork, TrainTicket or a custom one);
+    /// `root` pins one externally invoked service, `None` draws uniformly
+    /// over the graph's roots. Nested calls still reach the whole graph.
     Graph {
         /// The application graph.
         graph: ServiceGraph,
         /// Optional fixed root.
         root: Option<ServiceId>,
     },
+    /// A synthetic uSuite-style workload (Figure 20).
+    Synthetic(SyntheticWorkload),
 }
 
 impl Workload {
-    /// A single-app SocialNetwork workload.
+    /// A single SocialNetwork root service (a Figure 14 per-app run).
     pub fn social_app(root: ServiceId) -> Self {
-        Workload::SocialApp {
-            root,
-            apps: SocialNetwork::new(),
+        Workload::Graph {
+            graph: SocialNetwork::graph(),
+            root: Some(root),
         }
     }
 
-    /// The uniform eight-app mix.
+    /// The uniform mix over the eight SocialNetwork roots (Figures 3, 6, 7).
     pub fn social_mix() -> Self {
-        Workload::SocialMix {
-            apps: SocialNetwork::new(),
+        Workload::Graph {
+            graph: SocialNetwork::graph(),
+            root: None,
         }
     }
 
@@ -54,7 +43,7 @@ impl Workload {
     /// characterizes TrainTicket; see `um_workload::trainticket`).
     pub fn train_mix() -> Self {
         Workload::Graph {
-            graph: TrainTicket::new().into_graph(),
+            graph: TrainTicket::graph(),
             root: None,
         }
     }
@@ -62,7 +51,7 @@ impl Workload {
     /// A single TrainTicket root service.
     pub fn train_app(root: ServiceId) -> Self {
         Workload::Graph {
-            graph: TrainTicket::new().into_graph(),
+            graph: TrainTicket::graph(),
             root: Some(root),
         }
     }
@@ -71,25 +60,18 @@ impl Workload {
     /// ServiceMaps).
     pub fn services(&self) -> Vec<ServiceId> {
         match self {
-            Workload::SocialApp { apps, .. } | Workload::SocialMix { apps } => {
-                (0..apps.len() as u32).map(ServiceId::new).collect()
-            }
-            Workload::Synthetic(_) => vec![um_workload::synthetic::SYNTHETIC_SERVICE],
             Workload::Graph { graph, .. } => (0..graph.len() as u32).map(ServiceId::new).collect(),
+            Workload::Synthetic(_) => vec![um_workload::synthetic::SYNTHETIC_SERVICE],
         }
     }
 
     /// Samples the root service for the next external request.
     pub fn sample_root<R: Rng + ?Sized>(&self, rng: &mut R) -> ServiceId {
         match self {
-            Workload::SocialApp { root, .. } => *root,
-            Workload::SocialMix { .. } => {
-                SocialNetwork::ALL[rng.gen_range(0..SocialNetwork::ALL.len())]
-            }
-            Workload::Synthetic(_) => um_workload::synthetic::SYNTHETIC_SERVICE,
             Workload::Graph { graph, root } => {
                 root.unwrap_or_else(|| graph.roots()[rng.gen_range(0..graph.roots().len())])
             }
+            Workload::Synthetic(_) => um_workload::synthetic::SYNTHETIC_SERVICE,
         }
     }
 
@@ -98,11 +80,8 @@ impl Workload {
     /// heterogeneous-villages extension (§8).
     pub fn service_weight(&self, service: ServiceId) -> f64 {
         match self {
-            Workload::SocialApp { apps, .. } | Workload::SocialMix { apps } => {
-                apps.profile(service).compute.mean()
-            }
-            Workload::Synthetic(w) => w.service_time.mean(),
             Workload::Graph { graph, .. } => graph.profile(service).compute.mean(),
+            Workload::Synthetic(w) => w.service_time.mean(),
         }
     }
 
@@ -113,9 +92,7 @@ impl Workload {
     /// Panics if a synthetic workload is asked for a non-synthetic service.
     pub fn sample_plan<R: Rng + ?Sized>(&self, service: ServiceId, rng: &mut R) -> RequestPlan {
         match self {
-            Workload::SocialApp { apps, .. } | Workload::SocialMix { apps } => {
-                apps.sample_plan(service, rng)
-            }
+            Workload::Graph { graph, .. } => graph.sample_plan(service, rng),
             Workload::Synthetic(w) => {
                 assert_eq!(
                     service,
@@ -123,59 +100,6 @@ impl Workload {
                     "synthetic workload only serves the synthetic service"
                 );
                 w.sample_plan(rng)
-            }
-            Workload::Graph { graph, .. } => graph.sample_plan(service, rng),
-        }
-    }
-
-    /// Mean *tree* compute per external request in reference-core
-    /// microseconds (handler time only, excluding the RPC software tax) —
-    /// used for utilization estimates.
-    pub fn mean_tree_compute_us<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        match self {
-            Workload::SocialApp { root, apps } => {
-                let n = 300;
-                (0..n)
-                    .map(|_| {
-                        apps.expand_tree(*root, rng)
-                            .iter()
-                            .map(|p| p.compute_us())
-                            .sum::<f64>() // um-tidy: allow(float-accumulation) -- serial fold over one expanded tree, fixed traversal order
-                    })
-                    .sum::<f64>() // um-tidy: allow(float-accumulation) -- serial Monte-Carlo mean with a fixed trial order
-                    / n as f64
-            }
-            Workload::SocialMix { apps } => {
-                let mut total = 0.0;
-                for &root in &SocialNetwork::ALL {
-                    for _ in 0..100 {
-                        total += apps
-                            .expand_tree(root, rng)
-                            .iter()
-                            .map(|p| p.compute_us())
-                            .sum::<f64>(); // um-tidy: allow(float-accumulation) -- serial Monte-Carlo mean with a fixed trial order
-                    }
-                }
-                total / (8.0 * 100.0)
-            }
-            Workload::Synthetic(w) => w.service_time.mean(),
-            Workload::Graph { graph, root } => {
-                let roots: Vec<ServiceId> = match root {
-                    Some(r) => vec![*r],
-                    None => graph.roots().to_vec(),
-                };
-                let n = 100;
-                let mut total = 0.0;
-                for &r0 in &roots {
-                    for _ in 0..n {
-                        total += graph
-                            .expand_tree(r0, rng)
-                            .iter()
-                            .map(|p| p.compute_us())
-                            .sum::<f64>(); // um-tidy: allow(float-accumulation) -- serial Monte-Carlo mean with a fixed trial order
-                    }
-                }
-                total / (roots.len() * n) as f64
             }
         }
     }
@@ -241,11 +165,5 @@ mod tests {
             pinned.sample_root(&mut rng),
             um_workload::trainticket::TrainTicket::ORDER
         );
-    }
-
-    #[test]
-    fn mean_tree_compute_positive() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        assert!(Workload::social_mix().mean_tree_compute_us(&mut rng) > 100.0);
     }
 }

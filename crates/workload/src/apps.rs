@@ -16,25 +16,22 @@
 //! ~120 us mean per-invocation execution time and ~3 RPCs per request
 //! (§3.3).
 
-use crate::service::{RequestPlan, ServiceGraph, ServiceId, ServiceProfile};
-use rand::Rng;
+use crate::service::{ServiceGraph, ServiceId, ServiceProfile};
 
-/// The SocialNetwork application graph: eight root services plus the
-/// three storage-backend tiers they call.
+/// The SocialNetwork application: eight root services plus the three
+/// storage-backend tiers they call. Its ids and roots name the services of
+/// the [`ServiceGraph`] that [`SocialNetwork::graph`] builds.
 ///
 /// # Examples
 ///
 /// ```
 /// use um_workload::apps::SocialNetwork;
 ///
-/// let apps = SocialNetwork::new();
-/// assert_eq!(apps.len(), 11); // 8 apps + Redis + MongoDB + Memcached
-/// assert_eq!(apps.profile(SocialNetwork::SGRAPH).name, "SGraph");
+/// let graph = SocialNetwork::graph();
+/// assert_eq!(graph.len(), 11); // 8 apps + Redis + MongoDB + Memcached
+/// assert_eq!(graph.profile(SocialNetwork::SGRAPH).name, "SGraph");
 /// ```
-#[derive(Clone, Debug)]
-pub struct SocialNetwork {
-    profiles: Vec<ServiceProfile>,
-}
+pub enum SocialNetwork {}
 
 impl SocialNetwork {
     /// Text processing service.
@@ -73,8 +70,8 @@ impl SocialNetwork {
         Self::URL_SHORT,
     ];
 
-    /// Builds the application graph.
-    pub fn new() -> Self {
+    /// Builds the application graph, rooted at [`Self::ALL`].
+    pub fn graph() -> ServiceGraph {
         // A storage-backend tier: pure handler compute, no further service
         // calls; a small probability of one genuinely external storage
         // access (disk path / cross-cluster replication).
@@ -167,99 +164,7 @@ impl SocialNetwork {
             backend("MongoDB", Self::MONGO, 140.0),
             backend("Memcached", Self::MEMC, 70.0),
         ];
-        Self { profiles }
-    }
-
-    /// Number of services (roots + backends).
-    pub fn len(&self) -> usize {
-        self.profiles.len()
-    }
-
-    /// Never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Profile of a service.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an unknown id.
-    pub fn profile(&self, id: ServiceId) -> &ServiceProfile {
-        &self.profiles[id.index()]
-    }
-
-    /// Iterates over all profiles in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &ServiceProfile> {
-        self.profiles.iter()
-    }
-
-    /// Samples a request plan for `service`.
-    pub fn sample_plan<R: Rng + ?Sized>(&self, service: ServiceId, rng: &mut R) -> RequestPlan {
-        self.profile(service).sample_plan(rng)
-    }
-
-    /// Expands a root plan into the full tree of plans it will trigger
-    /// (for analysis; the system simulator spawns callees dynamically).
-    /// Returns plans in invocation order, root first.
-    pub fn expand_tree<R: Rng + ?Sized>(&self, root: ServiceId, rng: &mut R) -> Vec<RequestPlan> {
-        let mut out = Vec::new();
-        let mut stack = vec![root];
-        // The SocialNetwork call graph is a DAG, so expansion terminates;
-        // the depth guard makes that robust to future profile edits.
-        let mut guard = 0;
-        while let Some(svc) = stack.pop() {
-            guard += 1;
-            assert!(guard < 10_000, "call graph expansion runaway");
-            let plan = self.sample_plan(svc, rng);
-            stack.extend(plan.callees());
-            out.push(plan);
-        }
-        out
-    }
-
-    /// Mean number of service invocations a root request of `root`
-    /// triggers (including itself).
-    pub fn mean_tree_size<R: Rng + ?Sized>(
-        &self,
-        root: ServiceId,
-        rng: &mut R,
-        samples: usize,
-    ) -> f64 {
-        (0..samples)
-            .map(|_| self.expand_tree(root, rng).len())
-            .sum::<usize>() as f64
-            / samples as f64
-    }
-
-    /// Mean CPU time per *invocation* across the whole suite, in
-    /// reference-core microseconds — the calibration figure behind the
-    /// paper's "average execution time of a service request is 120 us".
-    pub fn mean_invocation_compute_us<R: Rng + ?Sized>(&self, rng: &mut R, samples: usize) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for &root in &Self::ALL {
-            for _ in 0..samples {
-                for plan in self.expand_tree(root, rng) {
-                    total += plan.compute_us();
-                    count += 1;
-                }
-            }
-        }
-        total / count as f64
-    }
-}
-
-impl SocialNetwork {
-    /// Converts into the generic [`ServiceGraph`] representation.
-    pub fn into_graph(self) -> ServiceGraph {
-        ServiceGraph::new(self.profiles, Self::ALL.to_vec())
-    }
-}
-
-impl Default for SocialNetwork {
-    fn default() -> Self {
-        Self::new()
+        ServiceGraph::new(profiles, Self::ALL.to_vec())
     }
 }
 
@@ -275,41 +180,28 @@ mod tests {
 
     #[test]
     fn roots_in_figure_order() {
-        let apps = SocialNetwork::new();
+        let graph = SocialNetwork::graph();
         let names: Vec<&str> = SocialNetwork::ALL
             .iter()
-            .map(|&id| apps.profile(id).name)
+            .map(|&id| graph.profile(id).name)
             .collect();
         assert_eq!(
             names,
             ["Text", "SGraph", "User", "PstStr", "UsrMnt", "HomeT", "CPost", "UrlShort"]
         );
-        assert_eq!(apps.profile(SocialNetwork::REDIS).name, "Redis");
+        assert_eq!(graph.profile(SocialNetwork::REDIS).name, "Redis");
     }
 
     #[test]
     fn call_graph_is_acyclic() {
-        // DFS from every root must terminate without revisiting a node on
-        // the current path.
-        let apps = SocialNetwork::new();
-        fn dfs(apps: &SocialNetwork, id: ServiceId, path: &mut Vec<ServiceId>) {
-            assert!(!path.contains(&id), "cycle through {id}");
-            path.push(id);
-            for &(callee, _) in &apps.profile(id).downstream {
-                dfs(apps, callee, path);
-            }
-            path.pop();
-        }
-        for &root in &SocialNetwork::ALL {
-            dfs(&apps, root, &mut Vec::new());
-        }
+        SocialNetwork::graph().assert_acyclic();
     }
 
     #[test]
     fn mean_invocation_near_120us() {
-        let apps = SocialNetwork::new();
+        let graph = SocialNetwork::graph();
         let mut r = rng();
-        let mean = apps.mean_invocation_compute_us(&mut r, 300);
+        let mean = graph.mean_invocation_compute_us(&mut r, 300);
         assert!(
             (95.0..150.0).contains(&mean),
             "mean invocation compute {mean} us, paper reports ~120"
@@ -318,16 +210,16 @@ mod tests {
 
     #[test]
     fn tree_sizes_are_multi_tier() {
-        let apps = SocialNetwork::new();
+        let graph = SocialNetwork::graph();
         let mut r = rng();
-        let url = apps.mean_tree_size(SocialNetwork::URL_SHORT, &mut r, 500);
-        let cpost = apps.mean_tree_size(SocialNetwork::CPOST, &mut r, 500);
+        let url = graph.mean_tree_size(SocialNetwork::URL_SHORT, &mut r, 500);
+        let cpost = graph.mean_tree_size(SocialNetwork::CPOST, &mut r, 500);
         assert!((1.5..3.0).contains(&url), "UrlShort tree {url}");
         assert!((7.0..14.0).contains(&cpost), "CPost tree {cpost}");
         // Suite-wide average: several invocations per root.
         let mix: f64 = SocialNetwork::ALL
             .iter()
-            .map(|&root| apps.mean_tree_size(root, &mut r, 200))
+            .map(|&root| graph.mean_tree_size(root, &mut r, 200))
             .sum::<f64>()
             / 8.0;
         assert!((3.5..8.0).contains(&mix), "mean tree size {mix}");
@@ -337,13 +229,13 @@ mod tests {
     fn rpcs_per_invocation_near_paper() {
         // Paper §3.3: requests average ~3 RPC invocations; our roots issue
         // 1-4 calls each.
-        let apps = SocialNetwork::new();
+        let graph = SocialNetwork::graph();
         let mut r = rng();
         let mut total = 0.0;
         let mut n = 0;
         for &root in &SocialNetwork::ALL {
             for _ in 0..2_000 {
-                total += apps.sample_plan(root, &mut r).rpc_count() as f64;
+                total += graph.sample_plan(root, &mut r).rpc_count() as f64;
                 n += 1;
             }
         }
@@ -353,7 +245,7 @@ mod tests {
 
     #[test]
     fn backends_are_leaves() {
-        let apps = SocialNetwork::new();
+        let graph = SocialNetwork::graph();
         let mut r = rng();
         for &leaf in &[
             SocialNetwork::REDIS,
@@ -361,7 +253,7 @@ mod tests {
             SocialNetwork::MEMC,
         ] {
             for _ in 0..50 {
-                let plan = apps.sample_plan(leaf, &mut r);
+                let plan = graph.sample_plan(leaf, &mut r);
                 assert_eq!(plan.callees().count(), 0);
             }
         }
@@ -369,10 +261,10 @@ mod tests {
 
     #[test]
     fn backends_rarely_touch_external_storage() {
-        let apps = SocialNetwork::new();
+        let graph = SocialNetwork::graph();
         let mut r = rng();
         let with_storage = (0..10_000)
-            .filter(|_| apps.sample_plan(SocialNetwork::REDIS, &mut r).rpc_count() > 0)
+            .filter(|_| graph.sample_plan(SocialNetwork::REDIS, &mut r).rpc_count() > 0)
             .count();
         let frac = with_storage as f64 / 10_000.0;
         assert!(
@@ -383,12 +275,12 @@ mod tests {
 
     #[test]
     fn expansion_contains_transitive_callees() {
-        let apps = SocialNetwork::new();
+        let graph = SocialNetwork::graph();
         let mut r = rng();
         // CPost -> Text -> UsrMnt -> User -> MongoDB should appear often.
         let mut seen_mongo = 0;
         for _ in 0..200 {
-            let tree = apps.expand_tree(SocialNetwork::CPOST, &mut r);
+            let tree = graph.expand_tree(SocialNetwork::CPOST, &mut r);
             if tree.iter().any(|p| p.service == SocialNetwork::MONGO) {
                 seen_mongo += 1;
             }

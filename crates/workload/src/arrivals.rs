@@ -8,7 +8,6 @@
 
 use crate::dist::sample_exponential;
 use rand::rngs::SmallRng;
-use rand::Rng;
 use um_sim::rng;
 
 /// A Poisson arrival process: exponential inter-arrival times.
@@ -187,11 +186,6 @@ impl Mmpp {
             .into_iter()
             .map(|c| c as f64 * 1e6 / window_us)
             .collect()
-    }
-
-    /// Direct access to the generator's rng for correlated draws.
-    pub fn rng_mut(&mut self) -> &mut impl Rng {
-        &mut self.rng
     }
 }
 

@@ -5,10 +5,11 @@
 //!
 //! 1. **DeathStarBench SocialNetwork** (§5): eight services with a
 //!    multi-tier call graph, ~120 us mean request execution and ~3.1 RPC
-//!    invocations per request. [`apps`] encodes statistical profiles of the
-//!    eight services; [`service`] turns a profile into an executable
-//!    [`RequestPlan`] — compute segments separated by blocking storage
-//!    accesses and downstream service calls.
+//!    invocations per request. [`apps`] builds it as a [`ServiceGraph`] of
+//!    statistical service profiles (as [`trainticket`] builds TrainTicket);
+//!    [`service`] turns a profile into an executable [`RequestPlan`] —
+//!    compute segments separated by blocking storage accesses and
+//!    downstream service calls.
 //! 2. **Alibaba production traces** (§3): [`alibaba`] synthesizes traces
 //!    whose marginals match the published CDFs — per-server RPS burstiness
 //!    (Figure 2), per-request CPU utilization (Figure 4) and RPC counts
@@ -28,9 +29,9 @@
 //! use um_workload::apps::SocialNetwork;
 //! use rand::SeedableRng;
 //!
-//! let apps = SocialNetwork::new();
+//! let graph = SocialNetwork::graph();
 //! let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-//! let plan = apps.sample_plan(SocialNetwork::CPOST, &mut rng);
+//! let plan = graph.sample_plan(SocialNetwork::CPOST, &mut rng);
 //! assert!(plan.segments.len() >= 2); // ComposePost always fans out
 //! ```
 

@@ -237,16 +237,16 @@ impl ServiceProfile {
 /// A complete application: service profiles plus the subset that external
 /// clients invoke directly (the *roots*).
 ///
-/// [`crate::apps::SocialNetwork`] and [`crate::trainticket::TrainTicket`]
-/// are both thin wrappers around this type.
+/// This is the only application type: [`crate::apps::SocialNetwork::graph`]
+/// and [`crate::trainticket::TrainTicket::graph`] each build one.
 ///
 /// # Examples
 ///
 /// ```
 /// use um_workload::apps::SocialNetwork;
 ///
-/// let graph = SocialNetwork::new().into_graph();
-/// assert_eq!(graph.roots().len(), 8);
+/// let graph = SocialNetwork::graph();
+/// assert_eq!(graph.roots(), SocialNetwork::ALL);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ServiceGraph {
@@ -345,6 +345,24 @@ impl ServiceGraph {
             .map(|_| self.expand_tree(root, rng).len())
             .sum::<usize>() as f64
             / samples as f64
+    }
+
+    /// Mean CPU time per *invocation* over `samples` expanded trees of
+    /// every root, in reference-core microseconds — the calibration figure
+    /// behind the paper's "average execution time of a service request is
+    /// 120 us" (§3.3).
+    pub fn mean_invocation_compute_us<R: Rng + ?Sized>(&self, rng: &mut R, samples: usize) -> f64 {
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for &root in self.roots() {
+            for _ in 0..samples {
+                for plan in self.expand_tree(root, rng) {
+                    total += plan.compute_us();
+                    count += 1;
+                }
+            }
+        }
+        total / count as f64
     }
 
     /// Asserts the call graph is acyclic (DFS from every root).

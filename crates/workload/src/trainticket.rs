@@ -11,24 +11,21 @@
 //! applications of the benchmark suite"; the `other_suites` bench checks
 //! that claim against this graph.
 
-use crate::service::{RequestPlan, ServiceGraph, ServiceId, ServiceProfile};
-use rand::Rng;
+use crate::service::{ServiceGraph, ServiceId, ServiceProfile};
 
-/// The TrainTicket booking-path application graph.
+/// The TrainTicket booking-path application. Its ids and roots name the
+/// services of the [`ServiceGraph`] that [`TrainTicket::graph`] builds.
 ///
 /// # Examples
 ///
 /// ```
 /// use um_workload::trainticket::TrainTicket;
 ///
-/// let apps = TrainTicket::new();
-/// assert_eq!(apps.len(), 12);
-/// assert_eq!(TrainTicket::ALL.len(), 4);
+/// let graph = TrainTicket::graph();
+/// assert_eq!(graph.len(), 12);
+/// assert_eq!(graph.roots(), TrainTicket::ALL);
 /// ```
-#[derive(Clone, Debug)]
-pub struct TrainTicket {
-    graph: ServiceGraph,
-}
+pub enum TrainTicket {}
 
 impl TrainTicket {
     /// Travel query: search trips between stations.
@@ -59,8 +56,8 @@ impl TrainTicket {
     /// The root services external clients invoke.
     pub const ALL: [ServiceId; 4] = [Self::TRAVEL, Self::ORDER, Self::PAYMENT, Self::CANCEL];
 
-    /// Builds the application graph.
-    pub fn new() -> Self {
+    /// Builds the application graph, rooted at [`Self::ALL`].
+    pub fn graph() -> ServiceGraph {
         let backend = |name, id, compute_us| {
             let mut p = ServiceProfile::storage_leaf(name, id, compute_us, 0);
             p.extra_storage_p = 0.08;
@@ -151,59 +148,7 @@ impl TrainTicket {
             backend("MySQL", Self::MYSQL, 150.0),
             backend("Redis", Self::REDIS, 85.0),
         ];
-        Self {
-            graph: ServiceGraph::new(profiles, Self::ALL.to_vec()),
-        }
-    }
-
-    /// Number of services.
-    pub fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// Never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Profile of a service.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an unknown id.
-    pub fn profile(&self, id: ServiceId) -> &ServiceProfile {
-        self.graph.profile(id)
-    }
-
-    /// Iterates over all profiles in id order.
-    pub fn iter(&self) -> impl Iterator<Item = &ServiceProfile> {
-        self.graph.iter()
-    }
-
-    /// Samples a request plan for `service`.
-    pub fn sample_plan<R: Rng + ?Sized>(&self, service: ServiceId, rng: &mut R) -> RequestPlan {
-        self.graph.sample_plan(service, rng)
-    }
-
-    /// Expands a root plan into its full invocation tree.
-    pub fn expand_tree<R: Rng + ?Sized>(&self, root: ServiceId, rng: &mut R) -> Vec<RequestPlan> {
-        self.graph.expand_tree(root, rng)
-    }
-
-    /// The underlying generic graph.
-    pub fn into_graph(self) -> ServiceGraph {
-        self.graph
-    }
-
-    /// Borrowed view of the underlying generic graph.
-    pub fn graph(&self) -> &ServiceGraph {
-        &self.graph
-    }
-}
-
-impl Default for TrainTicket {
-    fn default() -> Self {
-        Self::new()
+        ServiceGraph::new(profiles, Self::ALL.to_vec())
     }
 }
 
@@ -219,55 +164,44 @@ mod tests {
 
     #[test]
     fn graph_is_valid_and_acyclic() {
-        TrainTicket::new().graph().assert_acyclic();
+        TrainTicket::graph().assert_acyclic();
     }
 
     #[test]
     fn roots_and_names() {
-        let t = TrainTicket::new();
+        let graph = TrainTicket::graph();
         let names: Vec<&str> = TrainTicket::ALL
             .iter()
-            .map(|&id| t.profile(id).name)
+            .map(|&id| graph.profile(id).name)
             .collect();
         assert_eq!(names, ["Travel", "Order", "Payment", "Cancel"]);
     }
 
     #[test]
     fn trees_are_multi_tier() {
-        let t = TrainTicket::new();
+        let graph = TrainTicket::graph();
         let mut r = rng();
-        let travel = t.graph().mean_tree_size(TrainTicket::TRAVEL, &mut r, 400);
+        let travel = graph.mean_tree_size(TrainTicket::TRAVEL, &mut r, 400);
         assert!((4.0..10.0).contains(&travel), "Travel tree {travel}");
-        let order = t.graph().mean_tree_size(TrainTicket::ORDER, &mut r, 400);
+        let order = graph.mean_tree_size(TrainTicket::ORDER, &mut r, 400);
         assert!((5.0..11.0).contains(&order), "Order tree {order}");
     }
 
     #[test]
     fn mean_invocation_compute_near_social_network() {
         // §3.3's ~120 us per-invocation figure holds across suites.
-        let t = TrainTicket::new();
-        let mut r = rng();
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for &root in &TrainTicket::ALL {
-            for _ in 0..300 {
-                for plan in t.expand_tree(root, &mut r) {
-                    total += plan.compute_us();
-                    count += 1;
-                }
-            }
-        }
-        let mean = total / count as f64;
+        let graph = TrainTicket::graph();
+        let mean = graph.mean_invocation_compute_us(&mut rng(), 300);
         assert!((95.0..155.0).contains(&mean), "mean invocation {mean} us");
     }
 
     #[test]
     fn backends_are_leaves() {
-        let t = TrainTicket::new();
+        let graph = TrainTicket::graph();
         let mut r = rng();
         for &leaf in &[TrainTicket::MYSQL, TrainTicket::REDIS, TrainTicket::NOTIFY] {
             for _ in 0..50 {
-                assert_eq!(t.sample_plan(leaf, &mut r).callees().count(), 0);
+                assert_eq!(graph.sample_plan(leaf, &mut r).callees().count(), 0);
             }
         }
     }

@@ -16,7 +16,7 @@ use umanycore::qos::{max_qos_throughput_many, QOS_MULTIPLIER};
 use umanycore::{SimConfig, Workload};
 
 fn main() {
-    let apps = SocialNetwork::new();
+    let graph = SocialNetwork::graph();
     println!("QoS bound: latency within {QOS_MULTIPLIER}x the contention-free average\n");
 
     let roots = [SocialNetwork::HOME_T, SocialNetwork::CPOST];
@@ -46,7 +46,7 @@ fn main() {
     let results = max_qos_throughput_many(bases, 500.0, 128_000.0);
 
     for (&root, chunk) in roots.iter().zip(results.chunks_exact(labels.len())) {
-        let name = apps.profile(root).name;
+        let name = graph.profile(root).name;
         println!("application: {name}");
         for (label, result) in labels.iter().zip(chunk) {
             println!(

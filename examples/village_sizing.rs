@@ -16,11 +16,11 @@ use umanycore::experiments::parallel;
 use umanycore::{SimConfig, Workload};
 
 fn main() {
-    let apps = SocialNetwork::new();
+    let graph = SocialNetwork::graph();
     let shapes = TopologyShape::FIG19_SWEEP;
 
     for root in [SocialNetwork::URL_SHORT, SocialNetwork::HOME_T] {
-        let name = apps.profile(root).name;
+        let name = graph.profile(root).name;
         println!("service: {name} at 15K RPS");
         // One simulation per shape, fanned out across the UM_THREADS
         // worker pool; all shapes share the seed so the comparison is

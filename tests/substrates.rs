@@ -119,11 +119,11 @@ fn trace_to_cache_locality_contrast() {
 fn leafspine_carries_app_traffic() {
     let topo = LeafSpine::paper_default();
     let mut net = Network::new(topo, NetworkConfig::on_package());
-    let apps = SocialNetwork::new();
+    let graph = SocialNetwork::graph();
     let mut r = rng::stream(11, "itest-traffic");
     let mut worst_gap = Cycles::ZERO;
     for _ in 0..500 {
-        let plan = apps.sample_plan(SocialNetwork::CPOST, &mut r);
+        let plan = graph.sample_plan(SocialNetwork::CPOST, &mut r);
         let src = r.gen_range(0..32);
         for _ in plan.callees() {
             let dst = r.gen_range(0..32);
