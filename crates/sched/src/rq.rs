@@ -85,6 +85,12 @@ struct Entry<T> {
 /// - `Complete` marks an entry finished, and the head advances over
 ///   finished entries to reclaim slots.
 ///
+/// Capacity is only a bound. Entries are written at the tail and freed
+/// only at the head, so the occupied slots are exactly the ring window
+/// `[head, head + len)`; `Dequeue` scans that window alone, head first,
+/// and returns at once when a count of Ready entries is zero. Its cost
+/// follows the occupancy, not the capacity.
+///
 /// # Examples
 ///
 /// ```
@@ -102,9 +108,13 @@ struct Entry<T> {
 #[derive(Clone, Debug)]
 pub struct RequestQueue<T> {
     slots: Vec<Option<Entry<T>>>,
+    /// The oldest entry; the occupied slots are the ring window
+    /// `[head, head + len)`, and the tail is its end.
     head: usize,
-    tail: usize,
     len: usize,
+    /// Entries in [`RqEntryStatus::Ready`]; a `Dequeue` with none to find
+    /// returns without scanning.
+    ready: usize,
     next_generation: u64,
     enqueues: u64,
 }
@@ -121,8 +131,8 @@ impl<T> RequestQueue<T> {
         Self {
             slots: (0..capacity).map(|_| None).collect(),
             head: 0,
-            tail: 0,
             len: 0,
+            ready: 0,
             next_generation: 0,
             enqueues: 0,
         }
@@ -171,7 +181,7 @@ impl<T> RequestQueue<T> {
         if self.is_full() {
             return Err(RqError::Full);
         }
-        let index = self.tail;
+        let index = (self.head + self.len) % self.slots.len();
         debug_assert!(self.slots[index].is_none(), "tail points at occupied slot");
         let generation = self.next_generation;
         self.next_generation += 1;
@@ -182,27 +192,51 @@ impl<T> RequestQueue<T> {
             ready_since: now,
             ctx,
         });
-        self.tail = (self.tail + 1) % self.slots.len();
         self.len += 1;
+        self.ready += 1;
         self.enqueues += 1;
         #[cfg(feature = "sim-sanitizer")]
         self.check_occupancy();
         Ok(RqSlot { index, generation })
     }
 
-    /// Sanitizer hook: the cached `len` must equal the number of occupied
-    /// slots, or the circular-buffer bookkeeping has drifted.
+    /// Sanitizer hook for the counters `Dequeue` trusts: the cached `len`
+    /// must equal the number of occupied slots, every occupied slot must
+    /// lie in the window `[head, head + len)` the scan walks, and the
+    /// cached `ready` must equal the number of Ready entries. This is the
+    /// only code that walks every slot.
     #[cfg(feature = "sim-sanitizer")]
     fn check_occupancy(&self) {
-        let occupied = self.slots.iter().filter(|s| s.is_some()).count();
+        let cap = self.slots.len();
+        let (mut occupied, mut ready, mut outside) = (0, 0, 0);
+        for (idx, entry) in self.slots.iter().enumerate() {
+            let Some(entry) = entry else { continue };
+            occupied += 1;
+            if entry.status == RqEntryStatus::Ready {
+                ready += 1;
+            }
+            if (idx + cap - self.head) % cap >= self.len {
+                outside += 1;
+            }
+        }
+        let report = |msg: String| um_sim::sanitizer::report("rq-occupancy", msg);
         if occupied != self.len {
-            um_sim::sanitizer::report(
-                "rq-occupancy",
-                format!(
-                    "request queue len {} disagrees with {occupied} occupied slot(s)",
-                    self.len
-                ),
-            );
+            report(format!(
+                "request queue len {} disagrees with {occupied} occupied slot(s)",
+                self.len
+            ));
+        }
+        if outside > 0 {
+            report(format!(
+                "{outside} occupied slot(s) outside the ring window at head {} len {}",
+                self.head, self.len
+            ));
+        }
+        if ready != self.ready {
+            report(format!(
+                "request queue ready count {} disagrees with {ready} Ready entr(ies)",
+                self.ready
+            ));
         }
     }
 
@@ -214,6 +248,31 @@ impl<T> RequestQueue<T> {
     #[doc(hidden)]
     pub fn corrupt_len_for_sanitizer_test(&mut self, len: usize) {
         self.len = len;
+    }
+
+    /// Corrupts the cached Ready-entry counter.
+    ///
+    /// Exists only so sanitizer tests can verify the `rq-occupancy` checker
+    /// fires; never call this from simulation code.
+    #[cfg(feature = "sim-sanitizer")]
+    #[doc(hidden)]
+    pub fn corrupt_ready_for_sanitizer_test(&mut self, ready: usize) {
+        self.ready = ready;
+    }
+
+    /// The occupied entries with their slot indices, head first: the ring
+    /// window `[head, head + len)` walked as its (at most) two contiguous
+    /// halves. Every slot outside the window is empty.
+    fn occupied(&self) -> impl Iterator<Item = (usize, &Entry<T>)> {
+        let cap = self.slots.len();
+        let end = self.head + self.len;
+        let first = &self.slots[self.head..end.min(cap)];
+        let wrapped = &self.slots[..end.saturating_sub(cap)];
+        first
+            .iter()
+            .zip(self.head..)
+            .chain(wrapped.iter().zip(0..))
+            .filter_map(|(slot, idx)| slot.as_ref().map(|e| (idx, e)))
     }
 
     /// The `Dequeue` instruction: claims the ready entry closest to the
@@ -243,35 +302,30 @@ impl<T> RequestQueue<T> {
         remaining: impl Fn(&T) -> u64,
         now: Cycles,
     ) -> Option<(RqSlot, &T, Cycles)> {
-        let cap = self.slots.len();
-        let mut best: Option<(usize, u64)> = None;
-        for off in 0..cap {
-            let idx = (self.head + off) % cap;
-            let Some(entry) = &self.slots[idx] else {
-                continue;
-            };
-            if entry.status != RqEntryStatus::Ready {
-                continue;
-            }
-            if let Some(svc) = service {
-                if entry.service != svc {
-                    continue;
-                }
-            }
-            match policy {
-                DequeuePolicy::Fcfs => {
-                    best = Some((idx, 0));
-                    break; // scan order is head-first: first hit is oldest
-                }
-                DequeuePolicy::Srpt => {
-                    let key = remaining(&entry.ctx);
-                    if best.is_none_or(|(_, k)| key < k) {
-                        best = Some((idx, key));
-                    }
-                }
-            }
+        if self.ready == 0 {
+            return None;
         }
-        let (idx, _) = best?;
+        let idx = {
+            let mut candidates = self.occupied().filter(|(_, e)| {
+                e.status == RqEntryStatus::Ready && service.is_none_or(|svc| e.service == svc)
+            });
+            match policy {
+                // The walk is head-first: the first hit is the oldest.
+                DequeuePolicy::Fcfs => candidates.next()?.0,
+                DequeuePolicy::Srpt => {
+                    candidates
+                        .fold(None, |best: Option<(usize, u64)>, (idx, e)| {
+                            let key = remaining(&e.ctx);
+                            if best.is_none_or(|(_, k)| key < k) {
+                                Some((idx, key))
+                            } else {
+                                best
+                            }
+                        })?
+                        .0
+                }
+            }
+        };
         let entry = self.slots[idx].as_mut().expect("chosen slot occupied");
         entry.status = RqEntryStatus::Running;
         let wait = now.saturating_sub(entry.ready_since);
@@ -279,6 +333,9 @@ impl<T> RequestQueue<T> {
             index: idx,
             generation: entry.generation,
         };
+        self.ready -= 1;
+        #[cfg(feature = "sim-sanitizer")]
+        self.check_occupancy();
         Some((slot, &self.slots[idx].as_ref().expect("occupied").ctx, wait))
     }
 
@@ -326,6 +383,9 @@ impl<T> RequestQueue<T> {
         }
         e.status = RqEntryStatus::Ready;
         e.ready_since = now;
+        self.ready += 1;
+        #[cfg(feature = "sim-sanitizer")]
+        self.check_occupancy();
         Ok(())
     }
 
@@ -380,19 +440,15 @@ impl<T> RequestQueue<T> {
     /// The per-core Work flag (§4.3): whether a ready entry exists for
     /// `service`.
     pub fn has_ready(&self, service: u32) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|e| e.status == RqEntryStatus::Ready && e.service == service)
+        self.ready > 0
+            && self
+                .occupied()
+                .any(|(_, e)| e.status == RqEntryStatus::Ready && e.service == service)
     }
 
     /// Count of entries in a given status.
     pub fn count_status(&self, status: RqEntryStatus) -> usize {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|e| e.status == status)
-            .count()
+        self.occupied().filter(|(_, e)| e.status == status).count()
     }
 
     /// Total accepted enqueues.
@@ -865,6 +921,224 @@ mod proptests {
             let live = rq.len() as u64;
             let finished_unreclaimed = rq.count_status(RqEntryStatus::Finished) as u64;
             prop_assert_eq!(accepted, completed + live - finished_unreclaimed);
+        }
+    }
+
+    /// One step of the differential test. `Block`, `Unblock` and
+    /// `Complete` index the entries in the status they need, oldest
+    /// first, modulo their count.
+    #[derive(Clone, Debug)]
+    enum DiffOp {
+        Enqueue {
+            service: u32,
+            remaining: u64,
+        },
+        /// The service-filtered FCFS `dequeue`.
+        Dequeue(u32),
+        /// `dequeue_any_with_at`, SRPT when `true`.
+        DequeueAny(bool),
+        Block(usize),
+        Unblock(usize),
+        Complete(usize),
+    }
+
+    fn diff_op_strategy() -> impl Strategy<Value = DiffOp> {
+        prop_oneof![
+            3 => (0u32..3, 0u64..8)
+                .prop_map(|(service, remaining)| DiffOp::Enqueue { service, remaining }),
+            1 => (0u32..3).prop_map(DiffOp::Dequeue),
+            2 => proptest::bool::ANY.prop_map(DiffOp::DequeueAny),
+            2 => (0usize..16).prop_map(DiffOp::Block),
+            2 => (0usize..16).prop_map(DiffOp::Unblock),
+            2 => (0usize..16).prop_map(DiffOp::Complete),
+        ]
+    }
+
+    #[derive(Clone, Debug)]
+    struct RefEntry {
+        slot: RqSlot,
+        service: u32,
+        status: RqEntryStatus,
+        ready_since: Cycles,
+        remaining: u64,
+    }
+
+    /// The reference RQ: every live entry (Finished-but-unreclaimed
+    /// included) in enqueue order, scanned in full at every dequeue. The
+    /// tail advances once per accepted enqueue, so the `n`-th accepted
+    /// request lands in slot `n % capacity` with generation `n`.
+    struct Reference {
+        capacity: usize,
+        accepted: u64,
+        live: Vec<RefEntry>,
+    }
+
+    impl Reference {
+        fn enqueue(
+            &mut self,
+            service: u32,
+            remaining: u64,
+            now: Cycles,
+        ) -> Result<RqSlot, RqError> {
+            if self.live.len() == self.capacity {
+                return Err(RqError::Full);
+            }
+            let slot = RqSlot {
+                index: (self.accepted % self.capacity as u64) as usize,
+                generation: self.accepted,
+            };
+            self.accepted += 1;
+            self.live.push(RefEntry {
+                slot,
+                service,
+                status: RqEntryStatus::Ready,
+                ready_since: now,
+                remaining,
+            });
+            Ok(slot)
+        }
+
+        fn dequeue(
+            &mut self,
+            service: Option<u32>,
+            policy: DequeuePolicy,
+            now: Cycles,
+        ) -> Option<(RqSlot, u64, Cycles)> {
+            let mut ready = self.live.iter_mut().filter(|e| {
+                e.status == RqEntryStatus::Ready && service.is_none_or(|svc| e.service == svc)
+            });
+            let e = match policy {
+                DequeuePolicy::Fcfs => ready.next(),
+                DequeuePolicy::Srpt => ready.reduce(|best, e| {
+                    if e.remaining < best.remaining {
+                        e
+                    } else {
+                        best
+                    }
+                }),
+            }?;
+            e.status = RqEntryStatus::Running;
+            Some((e.slot, e.remaining, now.saturating_sub(e.ready_since)))
+        }
+
+        fn pick(&self, status: RqEntryStatus, k: usize) -> Option<RqSlot> {
+            let matching: Vec<RqSlot> = self
+                .live
+                .iter()
+                .filter(|e| e.status == status)
+                .map(|e| e.slot)
+                .collect();
+            (!matching.is_empty()).then(|| matching[k % matching.len()])
+        }
+
+        fn set(&mut self, slot: RqSlot, status: RqEntryStatus, now: Cycles) {
+            let e = self
+                .live
+                .iter_mut()
+                .find(|e| e.slot == slot)
+                .expect("picked entry is live");
+            e.status = status;
+            e.ready_since = now;
+            while self
+                .live
+                .first()
+                .is_some_and(|e| e.status == RqEntryStatus::Finished)
+            {
+                self.live.remove(0);
+            }
+        }
+
+        fn count(&self, status: RqEntryStatus) -> usize {
+            self.live.iter().filter(|e| e.status == status).count()
+        }
+    }
+
+    fn capacity_strategy() -> impl Strategy<Value = usize> {
+        prop_oneof![3 => 1usize..17, 1 => Just(512usize)]
+    }
+
+    proptest! {
+        /// The RQ claims exactly the entry a full scan of the live entries
+        /// in enqueue order would, with the same wait, and finds nothing
+        /// exactly when that scan finds nothing Ready. `shift` warm-up
+        /// rounds first move the head anywhere in the ring, so op
+        /// sequences wrap it; random completions leave Finished holes and
+        /// random blocks park Blocked entries ahead of Ready ones.
+        #[test]
+        fn rq_matches_full_scan_reference(
+            capacity in capacity_strategy(),
+            shift in 0usize..1100,
+            ops in proptest::collection::vec((diff_op_strategy(), 0u64..20), 1..400),
+        ) {
+            #[cfg(feature = "sim-sanitizer")]
+            let _ = um_sim::sanitizer::take();
+            let mut rq: RequestQueue<u64> = RequestQueue::new(capacity);
+            let mut reference = Reference { capacity, accepted: 0, live: Vec::new() };
+            let warm_up = [DiffOp::Enqueue { service: 0, remaining: 0 }, DiffOp::DequeueAny(false), DiffOp::Complete(0)];
+            let steps = warm_up.iter().cloned().map(|op| (op, 0)).cycle().take(3 * shift).chain(ops);
+            let mut now = Cycles::ZERO;
+            for (op, dt) in steps {
+                now += Cycles::new(dt);
+                match op {
+                    DiffOp::Enqueue { service, remaining } => {
+                        prop_assert_eq!(
+                            rq.enqueue_at(service, remaining, now),
+                            reference.enqueue(service, remaining, now)
+                        );
+                    }
+                    DiffOp::Dequeue(service) => {
+                        prop_assert_eq!(
+                            rq.dequeue(service).map(|(slot, &ctx)| (slot, ctx)),
+                            reference
+                                .dequeue(Some(service), DequeuePolicy::Fcfs, now)
+                                .map(|(slot, ctx, _)| (slot, ctx))
+                        );
+                    }
+                    DiffOp::DequeueAny(srpt) => {
+                        let policy = if srpt { DequeuePolicy::Srpt } else { DequeuePolicy::Fcfs };
+                        prop_assert_eq!(
+                            rq.dequeue_any_with_at(policy, |&rem| rem, now)
+                                .map(|(slot, &ctx, wait)| (slot, ctx, wait)),
+                            reference.dequeue(None, policy, now)
+                        );
+                    }
+                    DiffOp::Block(k) => {
+                        if let Some(slot) = reference.pick(RqEntryStatus::Running, k) {
+                            prop_assert_eq!(rq.block(slot), Ok(()));
+                            reference.set(slot, RqEntryStatus::Blocked, now);
+                        }
+                    }
+                    DiffOp::Unblock(k) => {
+                        if let Some(slot) = reference.pick(RqEntryStatus::Blocked, k) {
+                            prop_assert_eq!(rq.unblock_at(slot, now), Ok(()));
+                            reference.set(slot, RqEntryStatus::Ready, now);
+                        }
+                    }
+                    DiffOp::Complete(k) => {
+                        if let Some(slot) = reference.pick(RqEntryStatus::Running, k) {
+                            prop_assert_eq!(rq.complete(slot), Ok(()));
+                            reference.set(slot, RqEntryStatus::Finished, now);
+                        }
+                    }
+                }
+                prop_assert_eq!(rq.len(), reference.live.len());
+                for status in [
+                    RqEntryStatus::Ready,
+                    RqEntryStatus::Running,
+                    RqEntryStatus::Blocked,
+                    RqEntryStatus::Finished,
+                ] {
+                    prop_assert_eq!(rq.count_status(status), reference.count(status));
+                }
+                for service in 0..3 {
+                    prop_assert_eq!(
+                        rq.has_ready(service),
+                        reference.live.iter().any(|e| e.status == RqEntryStatus::Ready && e.service == service)
+                    );
+                }
+            }
+            #[cfg(feature = "sim-sanitizer")]
+            prop_assert_eq!(um_sim::sanitizer::violation_count(), 0);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Deliberate-violation tests for the `sim-sanitizer` checkers in this
-//! crate: a corrupted RQ occupancy counter and an overdrawn retry budget
-//! must surface as structured violations, while healthy lifecycles leave
-//! the registry empty.
+//! crate: a corrupted RQ occupancy or Ready-entry counter and an
+//! overdrawn retry budget must surface as structured violations, while
+//! healthy lifecycles leave the registry empty.
 #![cfg(feature = "sim-sanitizer")]
 
 use um_sched::{RequestQueue, RetryBudget};
@@ -18,6 +18,22 @@ fn corrupted_occupancy_is_reported() {
     assert!(
         violations.iter().any(|v| v.checker == "rq-occupancy"),
         "occupancy drift reported: {violations:?}"
+    );
+}
+
+#[test]
+fn corrupted_ready_count_is_reported() {
+    let _ = sanitizer::take();
+    let mut rq = RequestQueue::new(4);
+    rq.enqueue(1, ()).unwrap();
+    rq.corrupt_ready_for_sanitizer_test(0);
+    rq.enqueue(1, ()).unwrap();
+    let violations = sanitizer::take();
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.checker == "rq-occupancy" && v.message.contains("ready count")),
+        "ready-count drift reported: {violations:?}"
     );
 }
 
