@@ -7,8 +7,9 @@
 //! simulation:
 //!
 //! - **One global clock.** A single calendar [`EventQueue`] carries the
-//!   load balancer's arrivals, response deliveries and lazy per-node wake
-//!   events; nodes are stepped in global time order through
+//!   load balancer's response deliveries and lazy per-node wake events,
+//!   and the pre-drawn client arrivals feed in from a cursor in the same
+//!   time order; nodes are stepped in global time order through
 //!   [`SystemSim::step`], so the whole rack advances on one cycle base.
 //! - **Rack fabric.** An [`ExternalNetwork`] with the load balancer as an
 //!   extra endpoint models the LB↔node legs: per-endpoint NIC egress
@@ -36,7 +37,8 @@
 
 use crate::params;
 use crate::report::{BreakdownReport, ConservationStats, RunReport};
-use crate::system::{ArrivalProcess, BreakdownCollector, SimConfig, SystemSim};
+use crate::request::Slots;
+use crate::system::{ArrivalCursor, ArrivalProcess, BreakdownCollector, SimConfig, SystemSim};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::VecDeque;
@@ -244,11 +246,10 @@ struct LbRequest {
     gave_up: bool,
 }
 
-/// Cluster-level events on the global calendar queue.
+/// Cluster-level events on the global calendar queue (client arrivals
+/// come from the [`ArrivalCursor`]).
 #[derive(Clone, Copy, Debug)]
 enum ClusterEvent {
-    /// A client request reaches the load balancer.
-    Arrival,
     /// A node may have an internal event due now: step it once. Stale
     /// wakes (the node's next event moved) are skipped; the wake for the
     /// true next time is always on the calendar.
@@ -264,10 +265,16 @@ enum ClusterEvent {
 pub struct ClusterSim {
     cfg: ClusterConfig,
     events: EventQueue<ClusterEvent>,
+    /// The fleet's client arrivals at the load balancer.
+    arrivals: ArrivalCursor,
     nodes: Vec<SystemSim>,
     /// The rack fabric; endpoint `cfg.nodes` is the load balancer.
     fabric: ExternalNetwork,
-    records: Vec<LbRequest>,
+    /// Requests in flight, by token; a token is recycled once its
+    /// response reaches the load balancer.
+    records: Slots<LbRequest>,
+    /// Requests admitted at the load balancer so far.
+    admitted: u64,
     /// Admission-queue FIFO of tokens waiting for a node slot.
     lb_queue: VecDeque<u64>,
     in_flight: Vec<u64>,
@@ -357,15 +364,17 @@ impl ClusterSim {
         let rate = cfg.rps_per_node * cfg.nodes as f64;
         let arrival_seed = simrng::stream(cfg.seed, "cluster-arrivals").gen::<u64>();
         let times = cfg.arrivals.times(rate, arrival_seed, cfg.horizon_us);
-        let mut events = EventQueue::with_capacity(times.len() + 64);
-        for t in &times {
-            events.schedule_at(Cycles::from_micros(*t, freq), ClusterEvent::Arrival);
-        }
+        let arrivals = ArrivalCursor::new(vec![times
+            .into_iter()
+            .map(|t| Cycles::from_micros(t, freq))
+            .collect()]);
 
         Self {
-            events,
+            events: EventQueue::new(),
+            arrivals,
             fabric,
-            records: Vec::with_capacity(times.len()),
+            records: Slots::new(),
+            admitted: 0,
             lb_queue: VecDeque::new(),
             in_flight: vec![0; cfg.nodes],
             dispatched: vec![0; cfg.nodes],
@@ -393,16 +402,27 @@ impl ClusterSim {
     /// Runs the rack to completion (every admitted request has its
     /// response delivered to the load balancer) and returns the report.
     pub fn run(mut self) -> ClusterReport {
-        while let Some((now, event)) = self.events.pop() {
-            self.cluster_events += 1;
+        while self.step() {}
+        self.into_report()
+    }
+
+    /// Delivers the next client arrival when it is due no later than the
+    /// calendar's next event, else the calendar's next event. Returns
+    /// `false` when both are exhausted.
+    fn step(&mut self) -> bool {
+        if let Some((now, _)) = self.arrivals.pop_due(&self.events) {
+            self.on_arrival(now);
+        } else if let Some((now, event)) = self.events.pop() {
             match event {
-                ClusterEvent::Arrival => self.on_arrival(now),
                 ClusterEvent::NodeWake { node } => self.on_node_wake(node, now),
                 ClusterEvent::Response { token } => self.on_response(token, now),
                 ClusterEvent::NodeUp { node } => self.on_node_up(node, now),
             }
+        } else {
+            return false;
         }
-        self.into_report()
+        self.cluster_events += 1;
+        true
     }
 
     fn freq(&self) -> um_sim::Frequency {
@@ -430,15 +450,15 @@ impl ClusterSim {
     // ---- event handlers ------------------------------------------------
 
     fn on_arrival(&mut self, now: Cycles) {
-        let token = self.records.len() as u64;
-        self.records.push(LbRequest {
+        self.admitted += 1;
+        let token = self.records.insert(LbRequest {
             sent_at: now,
             node: None,
             hop_req: Cycles::ZERO,
             hop_resp: Cycles::ZERO,
             node_bd: LatencyBreakdown::new(),
             gave_up: false,
-        });
+        }) as u64;
         match self.route(now, false) {
             Some(node) => self.dispatch(token, node, now),
             None => {
@@ -572,6 +592,7 @@ impl ClusterSim {
 
     fn on_response(&mut self, token: u64, now: Cycles) {
         let rec = self.records[token as usize];
+        self.records.release(token as usize);
         let node = rec.node.expect("response implies dispatch");
         self.in_flight[node] -= 1;
         self.completed += 1;
@@ -660,21 +681,18 @@ impl ClusterSim {
                     ),
                 );
             }
-            if self.completed != self.records.len() as u64 {
+            if self.completed != self.admitted {
                 um_sim::sanitizer::report(
                     "cluster-conservation",
                     format!(
                         "{} responses for {} admitted requests",
-                        self.completed,
-                        self.records.len()
+                        self.completed, self.admitted
                     ),
                 );
             }
             um_sim::sanitizer::assert_clean(&format!(
                 "ClusterSim run (seed {}, {} nodes, {} requests)",
-                self.cfg.seed,
-                self.cfg.nodes,
-                self.records.len()
+                self.cfg.seed, self.cfg.nodes, self.admitted
             ));
         }
         self.latency.freeze();
@@ -844,6 +862,39 @@ mod tests {
             "every fleet request pays the rack fabric"
         );
         assert!(r.cluster_hop.mean > 0.0);
+    }
+
+    #[test]
+    fn lb_records_follow_requests_in_flight_not_run_length() {
+        // Tokens are recycled on response: a run four times as long
+        // completes about four times the requests in about the same table.
+        let table = |horizon_us: f64| {
+            let mut sim = ClusterSim::new(ClusterConfig {
+                node: SimConfig {
+                    machine: MachineConfig::umanycore(),
+                    workload: Workload::social_mix(),
+                    ..SimConfig::default()
+                },
+                nodes: 2,
+                rps_per_node: 20_000.0,
+                horizon_us,
+                warmup_us: horizon_us * 0.1,
+                seed: 19,
+                ..ClusterConfig::default()
+            });
+            while sim.step() {}
+            (sim.completed, sim.records.len())
+        };
+        let (short_done, short_slots) = table(20_000.0);
+        let (long_done, long_slots) = table(80_000.0);
+        assert!(
+            long_done as f64 >= 3.5 * short_done as f64,
+            "completed {short_done} -> {long_done}"
+        );
+        assert!(
+            long_slots as f64 <= 1.5 * short_slots as f64,
+            "LB records {short_slots} -> {long_slots} for {short_done} -> {long_done} completed"
+        );
     }
 
     #[test]

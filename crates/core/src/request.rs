@@ -1,10 +1,13 @@
-//! In-flight request state.
+//! In-flight request state and the recycled slot table that holds it.
 
 use um_sim::trace::LatencyBreakdown;
 use um_sim::Cycles;
 use um_workload::{RequestPlan, RpcKind, ServiceId};
 
-/// Index of a request in the simulation's request table.
+/// A slot in the simulation's request table. Slots are recycled once
+/// their request is done and nothing names it any more (DESIGN.md,
+/// "Request table"), so a `ReqId` identifies a request only while it is
+/// in flight; it is not an identity across the run.
 pub type ReqId = usize;
 
 /// Who receives a request's final response.
@@ -114,6 +117,12 @@ pub struct Request {
     /// own arrival process generated; `Some` routes the completion into
     /// the node's completion outbox instead of ending at the package edge.
     pub cluster_token: Option<u64>,
+    /// What still names this request's slot after it is done: pending
+    /// `StorageDone`, `HedgeFire` and `RpcTimeout` events, plus live
+    /// children (whose completion reads this request's village and
+    /// operation state). The slot is recycled when the request is
+    /// [`Phase::Done`] and this count is zero.
+    pub(crate) pins: u32,
 }
 
 impl Request {
@@ -150,7 +159,19 @@ impl Request {
             op_rpc: None,
             op_village: 0,
             cluster_token: None,
+            pins: 0,
         }
+    }
+
+    /// Re-initializes a recycled slot for a new request whose plan has
+    /// already been sampled into `self.plan` (keeping the plan's segment
+    /// buffer); every other field starts as in [`Request::new`].
+    pub fn rebind(&mut self, origin: Origin, server: usize, village: usize) {
+        let plan = RequestPlan {
+            service: self.plan.service,
+            segments: std::mem::take(&mut self.plan.segments),
+        };
+        *self = Request::new(plan, origin, server, village);
     }
 
     /// The service this request invokes.
@@ -166,6 +187,83 @@ impl Request {
     /// Whether all segments have run.
     pub fn is_complete(&self) -> bool {
         self.next_segment >= self.plan.segments.len()
+    }
+}
+
+/// A table whose freed slots are handed out again before it grows, so its
+/// size follows the peak number of live entries, not the run length.
+/// Freed slots are reused last-freed first.
+#[derive(Clone, Debug)]
+pub(crate) struct Slots<T> {
+    slots: Vec<T>,
+    free: Vec<usize>,
+}
+
+impl<T> Slots<T> {
+    pub(crate) fn new() -> Self {
+        Self {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Takes a freed slot, if any; it still holds its last occupant.
+    pub(crate) fn recycle(&mut self) -> Option<usize> {
+        self.free.pop()
+    }
+
+    /// Grows the table by one slot holding `value`.
+    pub(crate) fn push(&mut self, value: T) -> usize {
+        self.slots.push(value);
+        self.slots.len() - 1
+    }
+
+    /// Stores `value` in a freed slot, or in a new one when none is free.
+    pub(crate) fn insert(&mut self, value: T) -> usize {
+        match self.recycle() {
+            Some(id) => {
+                self.slots[id] = value;
+                id
+            }
+            None => self.push(value),
+        }
+    }
+
+    /// Returns a slot to the free list.
+    pub(crate) fn release(&mut self, id: usize) {
+        self.free.push(id);
+    }
+
+    /// Slots ever allocated: the table's size.
+    #[cfg(any(test, feature = "sim-sanitizer"))]
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The freed slots, in release order.
+    #[cfg(feature = "sim-sanitizer")]
+    pub(crate) fn free_list(&self) -> &[usize] {
+        &self.free
+    }
+
+    /// Every slot, live or freed, by index.
+    #[cfg(feature = "sim-sanitizer")]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter()
+    }
+}
+
+impl<T> std::ops::Index<usize> for Slots<T> {
+    type Output = T;
+
+    fn index(&self, id: usize) -> &T {
+        &self.slots[id]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Slots<T> {
+    fn index_mut(&mut self, id: usize) -> &mut T {
+        &mut self.slots[id]
     }
 }
 
@@ -202,6 +300,48 @@ mod tests {
         assert!(r.on_last_segment());
         r.next_segment = 2;
         assert!(r.is_complete());
+    }
+
+    #[test]
+    fn rebind_resets_state_and_keeps_the_plan_buffer() {
+        let mut r = Request::new(
+            plan(3),
+            Origin::Client {
+                sent_at: Cycles::new(5),
+            },
+            1,
+            2,
+        );
+        r.next_segment = 2;
+        r.phase = Phase::Done;
+        r.pins = 0;
+        r.gave_up = true;
+        let buffer = r.plan.segments.as_ptr();
+        r.rebind(Origin::Parent { req: 7, gen: 3 }, 0, 4);
+        assert_eq!(r.plan.segments.as_ptr(), buffer, "segment buffer reused");
+        assert_eq!(r.plan.segments.len(), 3);
+        assert_eq!(
+            (r.next_segment, r.phase, r.server, r.village),
+            (0, Phase::Queued, 0, 4)
+        );
+        assert_eq!(r.origin, Origin::Parent { req: 7, gen: 3 });
+        assert!(!r.gave_up);
+    }
+
+    #[test]
+    fn slots_reuse_freed_entries_last_freed_first() {
+        let mut t = Slots::new();
+        let a = t.insert('a');
+        let b = t.insert('b');
+        let c = t.insert('c');
+        assert_eq!((a, b, c), (0, 1, 2));
+        t.release(a);
+        t.release(c);
+        assert_eq!(t.insert('d'), c);
+        assert_eq!(t.insert('e'), a);
+        assert_eq!(t.insert('f'), 3);
+        assert_eq!(t.len(), 4);
+        assert_eq!((t[0], t[1], t[2], t[3]), ('e', 'b', 'd', 'f'));
     }
 
     #[test]

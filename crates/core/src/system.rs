@@ -10,7 +10,7 @@
 
 use crate::params;
 use crate::report::{BreakdownReport, ConservationStats, FaultStats, RunReport};
-use crate::request::{Origin, Phase, ReqId, Request};
+use crate::request::{Origin, Phase, ReqId, Request, Slots};
 use crate::workload::Workload;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -113,6 +113,66 @@ impl ArrivalProcess {
             // An outer driver injects arrivals one by one.
             ArrivalProcess::Injected => Vec::new(),
         }
+    }
+}
+
+/// A run's pre-drawn external arrivals, read in time order straight from
+/// their per-source streams instead of waiting in the event queue.
+///
+/// The order is the one scheduling every arrival up front gave: at a tied
+/// cycle an arrival comes before any queued event, and across sources the
+/// lower index comes first. So an arrival is due when its time is no later
+/// than the queue's next event, and the streams merge lazily, by a linear
+/// scan for the least `(time, source)` head.
+#[derive(Clone, Debug)]
+pub(crate) struct ArrivalCursor {
+    /// One non-decreasing stream of arrival times per source.
+    streams: Vec<Vec<Cycles>>,
+    /// Next unread position in each stream.
+    next: Vec<usize>,
+    /// The earliest unread arrival, `(time, source)`.
+    head: Option<(Cycles, usize)>,
+}
+
+impl ArrivalCursor {
+    pub(crate) fn new(streams: Vec<Vec<Cycles>>) -> Self {
+        let mut cursor = Self {
+            next: vec![0; streams.len()],
+            streams,
+            head: None,
+        };
+        cursor.head = cursor.scan();
+        cursor
+    }
+
+    /// The least `(time, source)` over the streams' unread heads.
+    fn scan(&self) -> Option<(Cycles, usize)> {
+        let mut best: Option<(Cycles, usize)> = None;
+        for (source, stream) in self.streams.iter().enumerate() {
+            if let Some(&t) = stream.get(self.next[source]) {
+                if best.is_none_or(|(b, _)| t < b) {
+                    best = Some((t, source));
+                }
+            }
+        }
+        best
+    }
+
+    /// Time of the next arrival, if any is left.
+    pub(crate) fn peek(&self) -> Option<Cycles> {
+        self.head.map(|(t, _)| t)
+    }
+
+    /// Takes the next arrival, `(time, source)`, if it is due no later
+    /// than `queue`'s next event.
+    pub(crate) fn pop_due<E>(&mut self, queue: &EventQueue<E>) -> Option<(Cycles, usize)> {
+        let (t, source) = self.head?;
+        if queue.peek_time().is_some_and(|e| e < t) {
+            return None;
+        }
+        self.next[source] += 1;
+        self.head = self.scan();
+        Some((t, source))
     }
 }
 
@@ -330,9 +390,6 @@ struct Server {
 
 #[derive(Clone, Copy, Debug)]
 enum Event {
-    ClientArrival {
-        server: usize,
-    },
     /// A root request handed over by the cluster layer's load balancer:
     /// delivered like a client arrival, but its completion is pushed into
     /// the node's outbox under `token` instead of ending at the package
@@ -422,7 +479,13 @@ pub struct NodeCompletion {
 pub struct SystemSim {
     cfg: SimConfig,
     events: EventQueue<Event>,
-    requests: Vec<Request>,
+    /// The package's own client arrivals (none for injected runs).
+    arrivals: ArrivalCursor,
+    /// The request table: one slot per request in flight, recycled once
+    /// the request is done and unpinned.
+    requests: Slots<Request>,
+    /// Requests admitted so far (roots and children).
+    admitted: u64,
     servers: Vec<Server>,
     external: ExternalNetwork,
     coherence: CoherenceModel,
@@ -454,7 +517,7 @@ pub struct SystemSim {
 }
 
 impl SystemSim {
-    /// Builds the cluster and pre-schedules all external arrivals.
+    /// Builds the cluster and pre-draws all external arrivals.
     ///
     /// # Panics
     ///
@@ -623,23 +686,23 @@ impl SystemSim {
             CoherenceDomain::Global => CoherenceModel::global_small(total_cores),
         };
 
-        // Pre-size the queue's event pool for the arrival schedule below
-        // (every arrival is scheduled up front), plus headroom for the
-        // in-flight per-request events; the arena then recycles pooled
-        // nodes instead of growing during the run.
-        let expected_arrivals =
-            (cfg.rps_per_server * cfg.horizon_us / 1e6 * cfg.servers as f64).ceil() as usize;
-        let mut events = EventQueue::with_capacity(expected_arrivals + expected_arrivals / 8 + 64);
-        for s in 0..cfg.servers {
-            let seed = simrng::stream_indexed(cfg.seed, "server-arrivals", s as u64).gen::<u64>();
-            let arrivals = cfg.arrivals.times(cfg.rps_per_server, seed, cfg.horizon_us);
-            for t in arrivals {
-                events.schedule_at(
-                    Cycles::from_micros(t, freq),
-                    Event::ClientArrival { server: s },
-                );
-            }
-        }
+        // Arrivals stay in their pre-drawn streams (the cursor feeds them
+        // in), so the queue holds only in-flight events; its pooled arena
+        // grows to that peak once and then recycles nodes.
+        let mut events = EventQueue::new();
+        let arrivals = ArrivalCursor::new(
+            (0..cfg.servers)
+                .map(|s| {
+                    let seed =
+                        simrng::stream_indexed(cfg.seed, "server-arrivals", s as u64).gen::<u64>();
+                    let times = cfg.arrivals.times(cfg.rps_per_server, seed, cfg.horizon_us);
+                    times
+                        .into_iter()
+                        .map(|t| Cycles::from_micros(t, freq))
+                        .collect()
+                })
+                .collect(),
+        );
 
         // The external fabric connects the cluster's servers plus the
         // storage tier (index = cfg.servers).
@@ -699,7 +762,9 @@ impl SystemSim {
             drop_p: cfg.fault_plan.drop_probability(),
             retry_budget: RetryBudget::new(cfg.mitigation.retry.map_or(0.0, |r| r.budget_fraction)),
             events,
-            requests: Vec::with_capacity(expected_arrivals),
+            arrivals,
+            requests: Slots::new(),
+            admitted: 0,
             servers,
             latency: Samples::new(),
             queueing: Samples::new(),
@@ -730,7 +795,11 @@ impl SystemSim {
     /// this to interleave node steps with its own events on one global
     /// clock.
     pub fn next_event_time(&self) -> Option<Cycles> {
-        self.events.peek_time()
+        let queued = self.events.peek_time();
+        match self.arrivals.peek() {
+            Some(t) => Some(queued.map_or(t, |q| q.min(t))),
+            None => queued,
+        }
     }
 
     /// Hands a root request over to this package at time `at` (the instant
@@ -760,15 +829,20 @@ impl SystemSim {
         self.into_report()
     }
 
-    /// Delivers the next pending event. Returns `false` when the queue is
-    /// empty (the run is complete until more arrivals are injected).
+    /// Delivers the next pending event: the next client arrival when it
+    /// is due no later than the queue's next event, else the queue's next
+    /// event. Returns `false` when both are exhausted (the run is complete
+    /// until more arrivals are injected).
     pub fn step(&mut self) -> bool {
+        if let Some((now, server)) = self.arrivals.pop_due(&self.events) {
+            self.on_client_arrival(server, now, None);
+            return true;
+        }
         let Some((now, event)) = self.events.pop() else {
             return false;
         };
         {
             match event {
-                Event::ClientArrival { server } => self.on_client_arrival(server, now, None),
                 Event::InjectedArrival { server, token } => {
                     self.on_client_arrival(server, now, Some(token))
                 }
@@ -802,12 +876,89 @@ impl SystemSim {
                     ext,
                     storage,
                     resilience,
-                } => self.on_storage_done(req, gen, icn, ext, storage, resilience, now),
-                Event::HedgeFire { req, gen } => self.on_hedge_fire(req, gen, now),
-                Event::RpcTimeout { req, gen } => self.on_rpc_timeout(req, gen, now),
+                } => {
+                    self.on_storage_done(req, gen, icn, ext, storage, resilience, now);
+                    self.unpin(req);
+                }
+                Event::HedgeFire { req, gen } => {
+                    self.on_hedge_fire(req, gen, now);
+                    self.unpin(req);
+                }
+                Event::RpcTimeout { req, gen } => {
+                    self.on_rpc_timeout(req, gen, now);
+                    self.unpin(req);
+                }
             }
         }
         true
+    }
+
+    // ---- request table -------------------------------------------------
+
+    /// Admits a new request of `service`: takes a request slot (a freed
+    /// one when there is one), samples the plan into the slot's segment
+    /// buffer, and binds the request.
+    fn admit(
+        &mut self,
+        service: ServiceId,
+        origin: Origin,
+        server: usize,
+        village: usize,
+    ) -> ReqId {
+        self.admitted += 1;
+        let (workload, rng) = (&self.cfg.workload, &mut self.rng);
+        let Some(req) = self.requests.recycle() else {
+            let plan = workload.sample_plan(service, rng);
+            return self
+                .requests
+                .push(Request::new(plan, origin, server, village));
+        };
+        let r = &mut self.requests[req];
+        // request-slots: a slot comes back only after its last request
+        // finished and nothing named it any more.
+        #[cfg(feature = "sim-sanitizer")]
+        if r.phase != Phase::Done || r.pins != 0 {
+            um_sim::sanitizer::report(
+                "request-slots",
+                format!(
+                    "slot {req} reused while its request is {:?} with {} pins",
+                    r.phase, r.pins
+                ),
+            );
+        }
+        workload.sample_plan_into(service, rng, &mut r.plan);
+        r.rebind(origin, server, village);
+        req
+    }
+
+    /// Records one more event or live child naming `req`.
+    fn pin(&mut self, req: ReqId) {
+        self.requests[req].pins += 1;
+    }
+
+    /// Drops one pin of `req` (its event was delivered, or its child
+    /// completed) and frees the slot if the request is done.
+    fn unpin(&mut self, req: ReqId) {
+        let r = &mut self.requests[req];
+        #[cfg(feature = "sim-sanitizer")]
+        if r.pins == 0 {
+            um_sim::sanitizer::report(
+                "request-slots",
+                format!("request {req} unpinned with no pins left"),
+            );
+        }
+        debug_assert!(r.pins > 0, "request {req} unpinned with no pins left");
+        r.pins = r.pins.saturating_sub(1);
+        self.release_if_idle(req);
+    }
+
+    /// Frees `req`'s slot once nothing can name it again: the request is
+    /// done and holds no pins.
+    fn release_if_idle(&mut self, req: ReqId) {
+        let r = &self.requests[req];
+        if r.phase == Phase::Done && r.pins == 0 {
+            self.requests.release(req);
+        }
     }
 
     // ---- unit helpers -------------------------------------------------
@@ -879,14 +1030,7 @@ impl SystemSim {
     fn on_client_arrival(&mut self, server: usize, now: Cycles, cluster_token: Option<u64>) {
         let service = self.cfg.workload.sample_root(&mut self.rng);
         let village = self.pick_village(server, service, now);
-        let plan = self.cfg.workload.sample_plan(service, &mut self.rng);
-        let req = self.requests.len();
-        self.requests.push(Request::new(
-            plan,
-            Origin::Client { sent_at: now },
-            server,
-            village,
-        ));
+        let req = self.admit(service, Origin::Client { sent_at: now }, server, village);
         self.requests[req].cluster_token = cluster_token;
         // Top-level NIC ingress + one hop to the village's leaf, plus the
         // enqueue operation itself.
@@ -1472,12 +1616,14 @@ impl SystemSim {
                 now + self.wall_cycles(h.delay_us),
                 Event::HedgeFire { req, gen },
             );
+            self.pin(req);
         }
         if let Some(rc) = self.cfg.mitigation.retry {
             self.events.schedule_at(
                 now + self.wall_cycles(rc.timeout_for_attempt_us(1)),
                 Event::RpcTimeout { req, gen },
             );
+            self.pin(req);
         } else if self.drop_p > 0.0 {
             // No retry policy, but legs can be lost: a liveness timeout
             // turns a stranded operation into a give-up instead of a
@@ -1486,6 +1632,7 @@ impl SystemSim {
                 now + self.wall_cycles(params::DEFAULT_RPC_TIMEOUT_US),
                 Event::RpcTimeout { req, gen },
             );
+            self.pin(req);
         }
     }
 
@@ -1555,6 +1702,7 @@ impl SystemSim {
                 resilience,
             },
         );
+        self.pin(req);
     }
 
     /// Synchronous downstream call attempt: spawn a child request on this
@@ -1582,15 +1730,10 @@ impl SystemSim {
             v
         };
         let dst_cluster = self.core_cluster(server, child_village);
-        let plan = self.cfg.workload.sample_plan(service, &mut self.rng);
         let gen = self.requests[req].op_gen;
-        let child = self.requests.len();
-        self.requests.push(Request::new(
-            plan,
-            Origin::Parent { req, gen },
-            server,
-            child_village,
-        ));
+        let child = self.admit(service, Origin::Parent { req, gen }, server, child_village);
+        // The child's completion reads this request: pin it until then.
+        self.pin(req);
         let arrive =
             self.servers[server]
                 .icn
@@ -1679,6 +1822,7 @@ impl SystemSim {
                     now + self.wall_cycles(rc.timeout_for_attempt_us(attempt)),
                     Event::RpcTimeout { req, gen },
                 );
+                self.pin(req);
                 return;
             }
         }
@@ -1856,11 +2000,13 @@ impl SystemSim {
                     self.events
                         .schedule_at(arrive, Event::Unblock { req: parent });
                 }
+                self.unpin(parent);
             }
         }
 
         self.events
             .schedule_at(free_at, Event::CoreFree { server, village });
+        self.release_if_idle(req);
     }
 
     fn into_report(mut self) -> RunReport {
@@ -1879,15 +2025,36 @@ impl SystemSim {
                     );
                 }
             }
-            if self.completed != self.requests.len() as u64 {
+            if self.completed != self.admitted {
                 um_sim::sanitizer::report(
                     "request-conservation",
                     format!(
                         "{} completions recorded for {} admitted requests",
-                        self.completed,
-                        self.requests.len()
+                        self.completed, self.admitted
                     ),
                 );
+            } else {
+                // Request slots: a drained run holds nothing, so every
+                // slot is back on the free list exactly once (a slot still
+                // held is a leaked pin).
+                let mut freed = vec![false; self.requests.len()];
+                for &id in self.requests.free_list() {
+                    if std::mem::replace(&mut freed[id], true) {
+                        um_sim::sanitizer::report(
+                            "request-slots",
+                            format!("slot {id} sits on the free list twice"),
+                        );
+                    }
+                }
+                for id in (0..freed.len()).filter(|&id| !freed[id]) {
+                    um_sim::sanitizer::report(
+                        "request-slots",
+                        format!(
+                            "slot {id} still held at the end of a drained run ({} pins)",
+                            self.requests[id].pins
+                        ),
+                    );
+                }
             }
             // Fault accounting: every plan event must have either taken
             // effect or been explicitly masked — never silently vanished.
@@ -1903,8 +2070,7 @@ impl SystemSim {
             }
             um_sim::sanitizer::assert_clean(&format!(
                 "SystemSim run (seed {}, {} requests)",
-                self.cfg.seed,
-                self.requests.len()
+                self.cfg.seed, self.admitted
             ));
         }
         self.latency.freeze();
@@ -1954,6 +2120,16 @@ impl SystemSim {
     #[doc(hidden)]
     pub fn corrupt_fault_accounting_for_sanitizer_test(&mut self) {
         self.faults.faults_applied += 1;
+    }
+
+    /// Pins request slot 0 once more than anything will unpin it, so the
+    /// `request-slots` checker reports a leaked slot at the end of the
+    /// run. Call after the first [`SystemSim::step`] has admitted a
+    /// request. Deliberate-violation tests only.
+    #[cfg(feature = "sim-sanitizer")]
+    #[doc(hidden)]
+    pub fn leak_request_pin_for_sanitizer_test(&mut self) {
+        self.pin(0);
     }
 }
 
@@ -2350,6 +2526,89 @@ mod tests {
         let b = run();
         assert_eq!(a.latency.p99.to_bits(), b.latency.p99.to_bits());
         assert!(a.completed > 20);
+    }
+
+    #[test]
+    fn request_table_follows_requests_in_flight_not_run_length() {
+        // Slots are recycled: a run four times as long completes about
+        // four times the requests in about the same table.
+        let table = |horizon_us: f64| {
+            let mut sim = SystemSim::new(SimConfig {
+                machine: MachineConfig::umanycore(),
+                workload: Workload::social_mix(),
+                rps_per_server: 20_000.0,
+                horizon_us,
+                warmup_us: horizon_us * 0.1,
+                seed: 19,
+                ..SimConfig::default()
+            });
+            while sim.step() {}
+            (sim.completed, sim.requests.len())
+        };
+        let (short_done, short_slots) = table(20_000.0);
+        let (long_done, long_slots) = table(80_000.0);
+        assert!(
+            long_done as f64 >= 3.5 * short_done as f64,
+            "completed {short_done} -> {long_done}"
+        );
+        assert!(
+            long_slots as f64 <= 1.5 * short_slots as f64,
+            "request slots {short_slots} -> {long_slots} for {short_done} -> {long_done} completed"
+        );
+    }
+
+    #[test]
+    fn arrival_cursor_keeps_the_up_front_schedule_order() {
+        // Scheduling every arrival first gave them the lowest sequence
+        // numbers: ties go to arrivals before queued events, and to the
+        // lower server across streams.
+        let c = Cycles::new;
+        let mut cursor =
+            ArrivalCursor::new(vec![vec![c(1), c(3), c(3)], vec![c(1), c(2), c(3)], vec![]]);
+        let mut queue = EventQueue::new();
+        queue.schedule_at(c(3), ());
+        let mut order = Vec::new();
+        while let Some(a) = cursor.pop_due(&queue) {
+            order.push(a);
+        }
+        assert_eq!(
+            order,
+            [
+                (c(1), 0),
+                (c(1), 1),
+                (c(2), 1),
+                (c(3), 0),
+                (c(3), 0),
+                (c(3), 1)
+            ]
+        );
+        assert_eq!(cursor.peek(), None);
+
+        let mut cursor = ArrivalCursor::new(vec![vec![c(5)]]);
+        let mut queue = EventQueue::new();
+        queue.schedule_at(c(4), ());
+        assert_eq!(
+            cursor.pop_due(&queue),
+            None,
+            "not due before the queue's next event"
+        );
+        queue.pop();
+        assert_eq!(cursor.pop_due(&queue), Some((c(5), 0)));
+    }
+
+    #[test]
+    fn next_event_time_sees_pending_arrivals() {
+        let mut sim = SystemSim::new(SimConfig {
+            rps_per_server: 20_000.0,
+            horizon_us: 2_000.0,
+            warmup_us: 200.0,
+            ..SimConfig::default()
+        });
+        let first = sim.arrivals.peek().expect("arrivals drawn");
+        assert_eq!(sim.events.peek_time(), None, "arrivals are not queued");
+        assert_eq!(sim.next_event_time(), Some(first));
+        assert!(sim.step());
+        assert!(sim.next_event_time() > Some(first));
     }
 
     #[test]

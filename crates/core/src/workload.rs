@@ -91,15 +91,36 @@ impl Workload {
     ///
     /// Panics if a synthetic workload is asked for a non-synthetic service.
     pub fn sample_plan<R: Rng + ?Sized>(&self, service: ServiceId, rng: &mut R) -> RequestPlan {
+        let mut plan = RequestPlan {
+            service,
+            segments: Vec::new(),
+        };
+        self.sample_plan_into(service, rng, &mut plan);
+        plan
+    }
+
+    /// [`Self::sample_plan`] into an existing plan, reusing its segment
+    /// buffer: the same draws in the same order give the same plan, bit
+    /// for bit, whatever `plan` held before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a synthetic workload is asked for a non-synthetic service.
+    pub fn sample_plan_into<R: Rng + ?Sized>(
+        &self,
+        service: ServiceId,
+        rng: &mut R,
+        plan: &mut RequestPlan,
+    ) {
         match self {
-            Workload::Graph { graph, .. } => graph.sample_plan(service, rng),
+            Workload::Graph { graph, .. } => graph.sample_plan_into(service, rng, plan),
             Workload::Synthetic(w) => {
                 assert_eq!(
                     service,
                     um_workload::synthetic::SYNTHETIC_SERVICE,
                     "synthetic workload only serves the synthetic service"
                 );
-                w.sample_plan(rng)
+                w.sample_plan_into(rng, plan)
             }
         }
     }

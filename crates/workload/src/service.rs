@@ -185,42 +185,52 @@ impl ServiceProfile {
     /// `rpcs + 1` segments; storage RPCs come first, then downstream calls,
     /// matching the read-then-aggregate structure of multi-tier services.
     pub fn sample_plan<R: Rng + ?Sized>(&self, rng: &mut R) -> RequestPlan {
-        let mut rpcs: Vec<RpcKind> = Vec::new();
+        let mut plan = RequestPlan {
+            service: self.id,
+            segments: Vec::new(),
+        };
+        self.sample_plan_into(rng, &mut plan);
+        plan
+    }
+
+    /// [`Self::sample_plan`] into an existing plan, reusing its segment
+    /// buffer: the same draws in the same order give the same plan, bit
+    /// for bit, whatever `plan` held before.
+    pub fn sample_plan_into<R: Rng + ?Sized>(&self, rng: &mut R, plan: &mut RequestPlan) {
+        plan.service = self.id;
+        let segments = &mut plan.segments;
+        segments.clear();
         let storage = self.storage_calls
             + sample_geometric(rng, self.extra_storage_p, self.extra_storage_max);
         for _ in 0..storage {
-            rpcs.push(RpcKind::Storage {
-                bytes: self.storage_bytes,
+            segments.push(Segment {
+                compute_us: 0.0,
+                rpc: Some(RpcKind::Storage {
+                    bytes: self.storage_bytes,
+                }),
             });
         }
         for &(svc, p) in &self.downstream {
             if rng.gen::<f64>() < p {
-                rpcs.push(RpcKind::Call { service: svc });
+                segments.push(Segment {
+                    compute_us: 0.0,
+                    rpc: Some(RpcKind::Call { service: svc }),
+                });
             }
         }
+        segments.push(Segment {
+            compute_us: 0.0,
+            rpc: None,
+        });
 
         let total_us = self.compute.sample(rng).max(1.0);
-        let n_segments = rpcs.len() + 1;
         // Jittered split that still sums to total_us.
-        let mut weights: Vec<f64> = (0..n_segments)
-            .map(|_| 0.75 + 0.5 * rng.gen::<f64>())
-            .collect();
-        let wsum: f64 = weights.iter().sum(); // um-tidy: allow(float-accumulation) -- serial fold over the fixed per-plan weight order
-        for w in &mut weights {
-            *w *= total_us / wsum;
+        for s in segments.iter_mut() {
+            s.compute_us = 0.75 + 0.5 * rng.gen::<f64>();
         }
-
-        let segments = weights
-            .into_iter()
-            .enumerate()
-            .map(|(i, compute_us)| Segment {
-                compute_us,
-                rpc: rpcs.get(i).copied(),
-            })
-            .collect();
-        RequestPlan {
-            service: self.id,
-            segments,
+        let wsum: f64 = segments.iter().map(|s| s.compute_us).sum(); // um-tidy: allow(float-accumulation) -- serial fold over the fixed per-plan weight order
+        for s in segments.iter_mut() {
+            s.compute_us *= total_us / wsum;
         }
     }
 
@@ -312,6 +322,17 @@ impl ServiceGraph {
     /// Samples a request plan for `service`.
     pub fn sample_plan<R: Rng + ?Sized>(&self, service: ServiceId, rng: &mut R) -> RequestPlan {
         self.profile(service).sample_plan(rng)
+    }
+
+    /// Samples a request plan for `service` into `plan`, reusing its
+    /// segment buffer (see [`ServiceProfile::sample_plan_into`]).
+    pub fn sample_plan_into<R: Rng + ?Sized>(
+        &self,
+        service: ServiceId,
+        rng: &mut R,
+        plan: &mut RequestPlan,
+    ) {
+        self.profile(service).sample_plan_into(rng, plan);
     }
 
     /// Expands a root plan into the full tree of plans it will trigger,

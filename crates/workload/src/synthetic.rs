@@ -84,22 +84,29 @@ impl SyntheticWorkload {
 
     /// Samples one request plan.
     pub fn sample_plan<R: Rng + ?Sized>(&self, rng: &mut R) -> RequestPlan {
+        let mut plan = RequestPlan {
+            service: SYNTHETIC_SERVICE,
+            segments: Vec::new(),
+        };
+        self.sample_plan_into(rng, &mut plan);
+        plan
+    }
+
+    /// [`Self::sample_plan`] into an existing plan, reusing its segment
+    /// buffer: the same draws give the same plan whatever `plan` held.
+    pub fn sample_plan_into<R: Rng + ?Sized>(&self, rng: &mut R, plan: &mut RequestPlan) {
         let blocking = rng.gen_range(self.min_blocking..=self.max_blocking);
         let total_us = self.service_time.sample(rng).max(1.0);
         let n_segments = blocking as usize + 1;
         let per_segment = total_us / n_segments as f64;
-        let segments = (0..n_segments)
-            .map(|i| Segment {
-                compute_us: per_segment,
-                rpc: (i + 1 < n_segments).then_some(RpcKind::Storage {
-                    bytes: self.storage_bytes,
-                }),
-            })
-            .collect();
-        RequestPlan {
-            service: SYNTHETIC_SERVICE,
-            segments,
-        }
+        plan.service = SYNTHETIC_SERVICE;
+        plan.segments.clear();
+        plan.segments.extend((0..n_segments).map(|i| Segment {
+            compute_us: per_segment,
+            rpc: (i + 1 < n_segments).then_some(RpcKind::Storage {
+                bytes: self.storage_bytes,
+            }),
+        }));
     }
 }
 

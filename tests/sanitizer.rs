@@ -98,6 +98,28 @@ fn corrupted_fault_accounting_trips_the_checker() {
 }
 
 #[test]
+#[should_panic(expected = "request-slots")]
+fn leaked_request_pin_trips_the_checker() {
+    // Deliberate-violation coverage: pin the first request's slot once
+    // more than anything unpins it. The run still drains with every
+    // admission completed, so the request-slots checker must find the
+    // slot missing from the free list at report time.
+    let mut sim = SystemSim::new(SimConfig {
+        machine: MachineConfig::umanycore(),
+        workload: Workload::social_mix(),
+        rps_per_server: 5_000.0,
+        horizon_us: 5_000.0,
+        warmup_us: 500.0,
+        seed: 3,
+        ..SimConfig::default()
+    });
+    assert!(sim.step(), "the first arrival admits a request");
+    sim.leak_request_pin_for_sanitizer_test();
+    while sim.step() {}
+    let _ = sim.finish();
+}
+
+#[test]
 fn checked_run_matches_unchecked_semantics() {
     // The checkers observe, never steer: two sanitized runs of the same
     // seed must still be bit-identical (the cross-feature comparison is
