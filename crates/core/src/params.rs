@@ -69,8 +69,10 @@ pub const NIC_INGRESS_US: f64 = 0.1;
 pub const MEM_BYTES_PER_US_GLOBAL: f64 = 2_800.0;
 
 /// Bulk memory traffic is moved in this many pipelined chunks per
-/// segment; on the leaf-spine each chunk can take a different redundant
-/// path (the §4.2 advantage), while tree topologies serialize them.
+/// segment, sent as one burst (`Network::send_burst`). On the leaf-spine
+/// each chunk is routed on its own and can take a different redundant
+/// path (the §4.2 advantage); the mesh and fat tree have one fixed route,
+/// so the burst is routed once and its chunks serialize along it.
 pub const MEM_TRAFFIC_CHUNKS: u64 = 8;
 
 /// The same traffic under village-scale coherence with per-cluster

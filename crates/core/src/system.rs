@@ -282,18 +282,12 @@ impl Icn {
         }
     }
 
-    /// Returns `(arrival, queueing_delay)` for a transfer.
-    fn send_traced(
-        &mut self,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-        depart: Cycles,
-    ) -> (Cycles, Cycles) {
+    /// Summed queueing delay of `n` equal transfers departing together.
+    fn send_burst(&mut self, src: usize, dst: usize, bytes: u64, depart: Cycles, n: u64) -> Cycles {
         match self {
-            Icn::Mesh(n) => n.send_traced(src, dst, bytes, depart),
-            Icn::Fat(n) => n.send_traced(src, dst, bytes, depart),
-            Icn::Leaf(n) => n.send_traced(src, dst, bytes, depart),
+            Icn::Mesh(net) => net.send_burst(src, dst, bytes, depart, n),
+            Icn::Fat(net) => net.send_burst(src, dst, bytes, depart, n),
+            Icn::Leaf(net) => net.send_burst(src, dst, bytes, depart, n),
         }
     }
 
@@ -1506,12 +1500,9 @@ impl SystemSim {
             // Pipelined chunks: redundant leaf-spine paths can carry them
             // in parallel, a tree serializes them through its one route.
             let chunk = (mem_bytes / params::MEM_TRAFFIC_CHUNKS).max(1);
-            let mut queued = Cycles::ZERO;
-            for _ in 0..params::MEM_TRAFFIC_CHUNKS {
-                let (_, q) = self.servers[server].icn.send_traced(src, dst, chunk, t);
-                queued += q;
-            }
-            // The request stalls for the worst chunk's queueing, not the
+            let icn = &mut self.servers[server].icn;
+            let queued = icn.send_burst(src, dst, chunk, t, params::MEM_TRAFFIC_CHUNKS);
+            // The request stalls for the mean chunk's queueing, not the
             // sum (chunks overlap with compute).
             Cycles::new(queued.raw() / params::MEM_TRAFFIC_CHUNKS)
         } else {

@@ -143,6 +143,9 @@ pub struct Network<T> {
     /// Route buffer reused by every send, so routing never allocates once
     /// it has grown to the longest route.
     route: Vec<LinkId>,
+    /// Per-hop serialization of a burst's route: its first message fills
+    /// it and the rest of the burst reads it.
+    serializations: Vec<Cycles>,
 }
 
 impl<T: Topology> Network<T> {
@@ -157,6 +160,7 @@ impl<T: Topology> Network<T> {
             rng: rng::stream(config.seed, "network-ecmp"),
             stats: NetworkStats::default(),
             route: Vec::new(),
+            serializations: Vec::new(),
         }
     }
 
@@ -198,12 +202,6 @@ impl<T: Topology> Network<T> {
         self.stats
     }
 
-    /// Clears link occupancy and statistics.
-    pub fn reset(&mut self) {
-        self.busy_until.fill(Cycles::ZERO);
-        self.stats = NetworkStats::default();
-    }
-
     /// Sends `bytes` from endpoint `src` to endpoint `dst`, departing at
     /// `depart`; returns the arrival time at `dst`.
     ///
@@ -233,14 +231,50 @@ impl<T: Topology> Network<T> {
     pub fn send_full(&mut self, src: usize, dst: usize, bytes: u64, depart: Cycles) -> SendTrace {
         let mut route = std::mem::take(&mut self.route);
         self.build_route(src, dst, depart, &mut route);
-        let trace = self.traverse(&route, bytes, depart);
+        let trace = self.traverse(&route, bytes, depart, 1);
         self.route = route;
         trace
     }
 
-    /// Moves a message along `route`, updating link occupancy and stats.
-    fn traverse(&mut self, route: &[LinkId], bytes: u64, depart: Cycles) -> SendTrace {
-        self.stats.messages += 1;
+    /// Sends `n` messages of `bytes` from `src` to `dst`, all departing at
+    /// `depart`, and returns their summed queueing delay. Exactly
+    /// equivalent to `n` back-to-back [`Self::send_traced`] calls: the same
+    /// link occupancy, statistics and ECMP draws.
+    ///
+    /// A route whose building never consulted the chooser (every mesh and
+    /// fat-tree route, every self-send) is fixed, so it is built once and
+    /// the whole burst steps along it. A route through a branch point is
+    /// rebuilt for each message, so an adaptive router sees the occupancy
+    /// the previous one left behind.
+    pub fn send_burst(
+        &mut self,
+        src: usize,
+        dst: usize,
+        bytes: u64,
+        depart: Cycles,
+        n: u64,
+    ) -> Cycles {
+        let mut route = std::mem::take(&mut self.route);
+        let mut queued = Cycles::ZERO;
+        let mut left = n;
+        while left > 0 {
+            let fixed = self.build_route(src, dst, depart, &mut route);
+            let count = if fixed { left } else { 1 };
+            queued += self.traverse(&route, bytes, depart, count).queued;
+            left -= count;
+        }
+        self.route = route;
+        queued
+    }
+
+    /// Moves `count` messages, all departing at `depart`, one after the
+    /// other along `route`, updating link occupancy and stats. The first
+    /// message works out each link's serialization; the rest of the batch
+    /// reuses it. The returned trace is the last message's, except that
+    /// `queued` sums all of them.
+    fn traverse(&mut self, route: &[LinkId], bytes: u64, depart: Cycles, count: u64) -> SendTrace {
+        debug_assert!(count > 0, "traverse moves at least one message");
+        self.stats.messages += count;
         if route.is_empty() {
             return SendTrace {
                 arrival: depart + self.config.hop_latency,
@@ -249,32 +283,60 @@ impl<T: Topology> Network<T> {
                 hops: 0,
             };
         }
+        let mut sers = std::mem::take(&mut self.serializations);
+        sers.clear();
         let mut t = depart;
-        let mut queued = Cycles::ZERO;
-        let mut ser_total = Cycles::ZERO;
+        let mut waited = Cycles::ZERO;
+        let mut serialization = Cycles::ZERO;
         for &link in route {
             let ser = self.serialization(bytes, link);
-            ser_total += ser;
-            if self.config.contention {
-                let free = self.busy_until[link];
-                let (start, occupancy) = self.fault_adjusted(link, t.max(free), ser);
-                queued += (start - t) + (occupancy - ser);
-                self.busy_until[link] = start + occupancy;
-                t = start + occupancy + self.config.hop_latency;
-            } else {
-                let (start, occupancy) = self.fault_adjusted(link, t, ser);
-                queued += (start - t) + (occupancy - ser);
-                t = start + occupancy + self.config.hop_latency;
+            serialization += ser;
+            if count > 1 {
+                sers.push(ser);
             }
+            self.hop(link, ser, &mut t, &mut waited);
         }
+        self.stats.max_queue_cycles = self.stats.max_queue_cycles.max(waited.raw());
+        let mut queued = waited;
+        for _ in 1..count {
+            t = depart;
+            waited = Cycles::ZERO;
+            for (&link, &ser) in route.iter().zip(&sers) {
+                self.hop(link, ser, &mut t, &mut waited);
+            }
+            self.stats.max_queue_cycles = self.stats.max_queue_cycles.max(waited.raw());
+            queued += waited;
+        }
+        self.serializations = sers;
         self.stats.queue_cycles += queued.raw();
-        self.stats.max_queue_cycles = self.stats.max_queue_cycles.max(queued.raw());
-        self.stats.hops += route.len() as u64;
+        self.stats.hops += route.len() as u64 * count;
         SendTrace {
             arrival: t,
             queued,
-            serialization: ser_total,
+            serialization,
             hops: route.len(),
+        }
+    }
+
+    /// Moves a message that reaches `link` at `t` across it: it waits for
+    /// the link to free (under contention) and for the link's fault
+    /// windows, occupies it for `ser` cycles (stretched by a slowdown),
+    /// and leaves `t` at its arrival at the next hop. The wait, slowdown
+    /// included, is added to `waited`.
+    // Forced: left to itself the compiler calls this out of line, which
+    // costs a single send about a tenth of its time.
+    #[inline(always)]
+    fn hop(&mut self, link: LinkId, ser: Cycles, t: &mut Cycles, waited: &mut Cycles) {
+        if self.config.contention {
+            let free = self.busy_until[link];
+            let (start, occupancy) = self.fault_adjusted(link, (*t).max(free), ser);
+            *waited += (start - *t) + (occupancy - ser);
+            self.busy_until[link] = start + occupancy;
+            *t = start + occupancy + self.config.hop_latency;
+        } else {
+            let (start, occupancy) = self.fault_adjusted(link, *t, ser);
+            *waited += (start - *t) + (occupancy - ser);
+            *t = start + occupancy + self.config.hop_latency;
         }
     }
 
@@ -315,12 +377,22 @@ impl<T: Topology> Network<T> {
         Cycles::new(((bytes as f64 / (self.config.bytes_per_cycle * width)).ceil() as u64).max(1))
     }
 
-    fn build_route(&mut self, src: usize, dst: usize, now: Cycles, route: &mut Vec<LinkId>) {
+    /// Writes the route from `src` to `dst` into `route`; returns whether
+    /// it is fixed, i.e. was built without consulting the chooser.
+    fn build_route(
+        &mut self,
+        src: usize,
+        dst: usize,
+        now: Cycles,
+        route: &mut Vec<LinkId>,
+    ) -> bool {
         let strategy = self.config.strategy;
         // Split borrows: chooser needs rng and busy_until, route needs topo.
         let busy = &self.busy_until;
         let rng = &mut self.rng;
+        let mut chose = false;
         let mut choose = |candidates: &[LinkId]| -> usize {
+            chose = true;
             match strategy {
                 RouteStrategy::Deterministic => 0,
                 RouteStrategy::RandomEcmp => rng.gen_range(0..candidates.len()),
@@ -333,6 +405,7 @@ impl<T: Topology> Network<T> {
             }
         };
         self.topo.route(src, dst, &mut choose, route);
+        !chose
     }
 }
 
@@ -419,17 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut net = Network::new(Mesh2D::new(2, 1), NetworkConfig::on_package());
-        net.send(0, 1, 4096, Cycles::ZERO);
-        net.reset();
-        assert_eq!(net.stats(), NetworkStats::default());
-        let a = net.send(0, 1, 4096, Cycles::ZERO);
-        let mut fresh = Network::new(Mesh2D::new(2, 1), NetworkConfig::on_package());
-        assert_eq!(a, fresh.send(0, 1, 4096, Cycles::ZERO));
-    }
-
-    #[test]
     fn random_ecmp_is_deterministic_per_seed() {
         let cfg = NetworkConfig {
             strategy: RouteStrategy::RandomEcmp,
@@ -476,8 +538,7 @@ mod tests {
     #[test]
     fn link_outage_delays_until_window_end_and_shares_telescope() {
         let mut net = Network::new(Mesh2D::new(2, 1), NetworkConfig::on_package());
-        let healthy = net.send_full(0, 1, 64, Cycles::ZERO);
-        net.reset();
+        let healthy = net.clone().send_full(0, 1, 64, Cycles::ZERO);
         // Black out every link until cycle 500: the message must wait out
         // the outage, and the wait must surface as queueing.
         for link in 0..net.num_links() {
@@ -503,8 +564,7 @@ mod tests {
         let mut cfg = NetworkConfig::on_package();
         cfg.strategy = RouteStrategy::Deterministic;
         let mut net = Network::new(Mesh2D::new(2, 1), cfg);
-        let healthy = net.send_full(0, 1, 4096, Cycles::ZERO);
-        net.reset();
+        let healthy = net.clone().send_full(0, 1, 4096, Cycles::ZERO);
         for link in 0..net.num_links() {
             net.inject_link_fault(link, FaultWindow::new(Cycles::ZERO, Cycles::MAX, 4.0));
         }

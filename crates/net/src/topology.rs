@@ -42,7 +42,9 @@ pub trait Topology {
     /// The route is empty when `src == dst` (local delivery). `choose` is
     /// called at every branch point with the candidate link ids for the
     /// next step and must return an index into that slice. Implementations
-    /// may stage those candidates in `route`'s spare capacity.
+    /// may stage those candidates in `route`'s spare capacity. A route
+    /// built without calling `choose` must depend on `src` and `dst` alone:
+    /// `Network::send_burst` reuses it for every message of a burst.
     ///
     /// # Panics
     ///
