@@ -218,17 +218,6 @@ pub struct ClusterReport {
     pub node_reports: Vec<RunReport>,
 }
 
-impl ClusterReport {
-    /// Mean node utilization over the whole rack.
-    pub fn mean_node_utilization(&self) -> f64 {
-        if self.node_reports.is_empty() {
-            return 0.0;
-        }
-        self.node_reports.iter().map(|r| r.utilization).sum::<f64>() // um-tidy: allow(float-accumulation) -- report-only mean over the fixed-order node vector
-            / self.node_reports.len() as f64
-    }
-}
-
 /// One fleet request's load-balancer-side state, indexed by token.
 #[derive(Clone, Copy, Debug)]
 struct LbRequest {

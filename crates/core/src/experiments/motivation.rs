@@ -314,8 +314,9 @@ const FIG7_VARIANTS: [(IcnKind, bool); 4] = [
 /// Runs the Figure 7 sweep on ScaleOut for the given loads, all points
 /// in parallel.
 ///
-/// Each load derives its own seed; the four [`FIG7_VARIANTS`] runs at
-/// one load share it, so both normalizations are paired.
+/// Each load derives its own seed; its four runs (mesh and fat tree,
+/// each with contention on and off) share it, so both normalizations
+/// are paired.
 pub fn fig7_rows(scale: Scale, loads: &[f64]) -> Vec<Fig7Row> {
     let points: Vec<(usize, IcnKind, bool)> = (0..loads.len())
         .flat_map(|li| FIG7_VARIANTS.iter().map(move |&(icn, c)| (li, icn, c)))

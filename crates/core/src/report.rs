@@ -124,12 +124,6 @@ pub struct RunReport {
     pub latency_samples: Samples,
     /// Village-queue waiting time digest (per dispatch), microseconds.
     pub queueing: Summary,
-    /// CPU time per completed invocation, microseconds.
-    pub cpu_per_invocation: Summary,
-    /// Time blocked on RPCs per completed invocation, microseconds.
-    pub blocked_per_invocation: Summary,
-    /// Total queue-wait per completed invocation, microseconds.
-    pub queued_per_invocation: Summary,
     /// Completed external requests.
     pub completed: u64,
     /// External requests recorded (completed after warm-up).
@@ -184,9 +178,6 @@ mod tests {
             latency: samples.summary(),
             latency_samples: samples,
             queueing: Summary::default(),
-            cpu_per_invocation: Summary::default(),
-            blocked_per_invocation: Summary::default(),
-            queued_per_invocation: Summary::default(),
             completed: 100,
             recorded: 100,
             utilization: 0.5,

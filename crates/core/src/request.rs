@@ -61,18 +61,8 @@ pub struct Request {
     /// Whether the request has run on a core before (controls the
     /// migration-coherence charge and the context-restore cost).
     pub has_run: bool,
-    /// Number of context switches this request has suffered.
-    pub ctx_switches: u32,
-    /// Cycles of CPU the request has consumed (for utilization stats).
-    pub cpu_cycles: Cycles,
     /// Arrival time at the village queue (for queueing-delay stats).
     pub enqueued_at: Cycles,
-    /// When the request last blocked on an RPC.
-    pub blocked_at: Cycles,
-    /// Total cycles spent blocked on RPCs so far.
-    pub blocked_cycles: Cycles,
-    /// Total cycles spent waiting in queues so far.
-    pub queued_cycles: Cycles,
     /// Slot in the village's hardware Request Queue, when the machine
     /// schedules in hardware and the request is admitted.
     pub rq_slot: Option<um_sched::RqSlot>,
@@ -86,11 +76,6 @@ pub struct Request {
     /// (checked at completion); a child's breakdown is merged into its
     /// parent's when the response arrives.
     pub breakdown: LatencyBreakdown,
-    /// RPC attempts issued by this request across all its operations
-    /// (primary issues, hedges and retries).
-    pub attempts: u32,
-    /// Hedge attempts issued by this request.
-    pub hedges: u32,
     /// Whether any RPC operation of this request (or of a merged child)
     /// exhausted its attempts; gave-up requests complete immediately and
     /// are excluded from latency samples.
@@ -140,17 +125,10 @@ impl Request {
             server,
             village,
             has_run: false,
-            ctx_switches: 0,
-            cpu_cycles: Cycles::ZERO,
             enqueued_at: Cycles::ZERO,
-            blocked_at: Cycles::ZERO,
-            blocked_cycles: Cycles::ZERO,
-            queued_cycles: Cycles::ZERO,
             rq_slot: None,
             spawned_at: Cycles::ZERO,
             breakdown: LatencyBreakdown::new(),
-            attempts: 0,
-            hedges: 0,
             gave_up: false,
             op_gen: 0,
             op_resolved: true,

@@ -495,9 +495,6 @@ pub struct SystemSim {
     // Statistics.
     latency: Samples,
     queueing: Samples,
-    cpu_per_invocation: Samples,
-    blocked_per_invocation: Samples,
-    queued_per_invocation: Samples,
     completed: u64,
     recorded: u64,
     ctx_switches: u64,
@@ -762,9 +759,6 @@ impl SystemSim {
             servers,
             latency: Samples::new(),
             queueing: Samples::new(),
-            cpu_per_invocation: Samples::new(),
-            blocked_per_invocation: Samples::new(),
-            queued_per_invocation: Samples::new(),
             completed: 0,
             recorded: 0,
             ctx_switches: 0,
@@ -815,12 +809,6 @@ impl SystemSim {
     /// order.
     pub fn drain_completions(&mut self) -> Vec<NodeCompletion> {
         std::mem::take(&mut self.completions)
-    }
-
-    /// Finalizes a step-driven run: sanitizer end-of-run checks plus the
-    /// report. [`SystemSim::run`] calls this after draining the queue.
-    pub fn finish(self) -> RunReport {
-        self.into_report()
     }
 
     /// Delivers the next pending event: the next client arrival when it
@@ -1202,10 +1190,6 @@ impl SystemSim {
     }
 
     fn on_unblock(&mut self, req: ReqId, now: Cycles) {
-        {
-            let r = &mut self.requests[req];
-            r.blocked_cycles += now.saturating_sub(r.blocked_at);
-        }
         if self.cfg.hold_core_while_blocked {
             debug_assert_eq!(self.requests[req].phase, Phase::Blocked);
             self.resume_in_place(req, now);
@@ -1370,7 +1354,6 @@ impl SystemSim {
         let mut t = now;
         if !in_place {
             let waited = now - self.requests[req].enqueued_at;
-            self.requests[req].queued_cycles += waited;
             self.queueing.record(waited.as_micros(self.freq()));
             // Queue residence runs from the (lock-serialized) insert to
             // dispatch.
@@ -1516,7 +1499,6 @@ impl SystemSim {
             r.breakdown.charge(Component::MemStall, mem_stall);
             r.phase = Phase::Running;
             r.has_run = true;
-            r.cpu_cycles += end - now;
         }
         self.servers[server].busy_cycles += (end - now).raw() as u128;
         self.events.schedule_at(end, Event::SegmentDone { req });
@@ -1550,19 +1532,12 @@ impl SystemSim {
     /// frees; the request is marked blocked (its RQ entry persists). In
     /// run-to-completion mode the core simply stays with the request.
     fn block_request(&mut self, req: ReqId, now: Cycles) {
+        let r = &mut self.requests[req];
+        r.phase = Phase::Blocked;
         if self.cfg.hold_core_while_blocked {
-            let r = &mut self.requests[req];
-            r.phase = Phase::Blocked;
-            r.blocked_at = now;
             return;
         }
-        let (server, village) = {
-            let r = &mut self.requests[req];
-            r.phase = Phase::Blocked;
-            r.blocked_at = now;
-            r.ctx_switches += 1;
-            (r.server, r.village)
-        };
+        let (server, village) = (r.server, r.village);
         self.ctx_switches += 1;
         if let Some(slot) = self.requests[req].rq_slot {
             if let VillageQueue::Hardware { rq, .. } =
@@ -1632,11 +1607,7 @@ impl SystemSim {
     fn issue_attempt(&mut self, req: ReqId, now: Cycles) {
         let kind = self.requests[req].op_rpc.expect("operation in progress");
         let backup = self.requests[req].op_attempts > 0;
-        {
-            let r = &mut self.requests[req];
-            r.op_attempts += 1;
-            r.attempts += 1;
-        }
+        self.requests[req].op_attempts += 1;
         self.faults.rpc_attempts += 1;
         match kind {
             RpcKind::Storage { bytes } => self.issue_storage_attempt(req, bytes, now),
@@ -1791,7 +1762,6 @@ impl SystemSim {
             }
         }
         self.faults.hedges += 1;
-        self.requests[req].hedges += 1;
         self.issue_attempt(req, now);
     }
 
@@ -1855,22 +1825,12 @@ impl SystemSim {
     }
 
     fn complete_request(&mut self, req: ReqId, now: Cycles) {
-        let (server, village, cpu, blocked, queued) = {
+        let (server, village) = {
             let r = &mut self.requests[req];
             r.phase = Phase::Done;
-            (
-                r.server,
-                r.village,
-                r.cpu_cycles,
-                r.blocked_cycles,
-                r.queued_cycles,
-            )
+            (r.server, r.village)
         };
         self.completed += 1;
-        let f = self.freq();
-        self.cpu_per_invocation.record(cpu.as_micros(f));
-        self.blocked_per_invocation.record(blocked.as_micros(f));
-        self.queued_per_invocation.record(queued.as_micros(f));
 
         // The Complete instruction / software completion bookkeeping.
         let free_at = now + self.cfg.machine.sched_op_cost;
@@ -2000,7 +1960,9 @@ impl SystemSim {
         self.release_if_idle(req);
     }
 
-    fn into_report(mut self) -> RunReport {
+    /// Finalizes a step-driven run: sanitizer end-of-run checks plus the
+    /// report. [`SystemSim::run`] calls this after draining the queue.
+    pub fn finish(mut self) -> RunReport {
         // Request conservation: with the event queue drained, every admitted
         // request must have reached Done and been counted exactly once.
         #[cfg(feature = "sim-sanitizer")]
@@ -2081,9 +2043,6 @@ impl SystemSim {
         RunReport {
             latency: self.latency.summary(),
             queueing: self.queueing.summary(),
-            cpu_per_invocation: self.cpu_per_invocation.summary(),
-            blocked_per_invocation: self.blocked_per_invocation.summary(),
-            queued_per_invocation: self.queued_per_invocation.summary(),
             latency_samples: self.latency,
             completed: self.completed,
             recorded: self.recorded,
@@ -2386,14 +2345,25 @@ mod tests {
 
     #[test]
     fn breakdown_components_are_consistent() {
-        let r = quick(MachineConfig::umanycore(), 8_000.0, 22);
-        // Every completed invocation consumed some CPU.
-        assert!(r.cpu_per_invocation.mean > 0.0);
-        // An invocation's CPU share cannot exceed its end-to-end budget:
-        // the mean root latency bounds the mean per-invocation components.
-        assert!(r.cpu_per_invocation.mean < r.latency.mean);
+        let r = SystemSim::new(SimConfig {
+            machine: MachineConfig::umanycore(),
+            workload: Workload::social_mix(),
+            rps_per_server: 8_000.0,
+            horizon_us: 20_000.0,
+            warmup_us: 2_000.0,
+            seed: 22,
+            trace: true,
+            ..SimConfig::default()
+        })
+        .run();
+        let bd = r.breakdown.as_ref().expect("tracing collects a breakdown");
+        let mean = |c| bd.component(c).mean;
+        // Every recorded request consumed some CPU.
+        assert!(mean(Component::Compute) > 0.0);
+        // A request's CPU share cannot exceed its end-to-end budget.
+        assert!(mean(Component::Compute) < r.latency.mean);
         // Hardware machines do not queue-wait at these loads.
-        assert!(r.queued_per_invocation.mean < 50.0);
+        assert!(mean(Component::QueueWait) < 50.0);
     }
 
     #[test]

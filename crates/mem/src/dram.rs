@@ -31,7 +31,6 @@ pub struct DramModel {
     bank_occupancy: Cycles,
     /// Per-bank earliest next service time.
     bank_free_at: Vec<Cycles>,
-    accesses: u64,
     queued: u64,
 }
 
@@ -62,7 +61,6 @@ impl DramModel {
             device_latency,
             bank_occupancy,
             bank_free_at: vec![Cycles::ZERO; channels * banks_per_channel],
-            accesses: 0,
             queued: 0,
         }
     }
@@ -81,7 +79,6 @@ impl DramModel {
     /// Services an access arriving at `now`; returns its total latency
     /// (queueing + device).
     pub fn access(&mut self, addr: u64, now: Cycles) -> Cycles {
-        self.accesses += 1;
         let bank = self.bank_of(addr);
         let start = now.max(self.bank_free_at[bank]);
         if start > now {
@@ -89,11 +86,6 @@ impl DramModel {
         }
         self.bank_free_at[bank] = start + self.bank_occupancy;
         (start - now) + self.device_latency
-    }
-
-    /// Number of accesses so far.
-    pub fn access_count(&self) -> u64 {
-        self.accesses
     }
 
     /// Number of accesses that experienced bank queueing.

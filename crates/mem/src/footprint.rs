@@ -47,13 +47,6 @@ impl FootprintProfile {
             shared_coverage: 0.90,
         }
     }
-
-    /// Approximate total footprint of one handler in bytes.
-    pub fn handler_bytes(&self) -> u64 {
-        (self.instr_bytes as f64 * self.code_coverage) as u64
-            + (self.shared_data_bytes as f64 * self.shared_coverage) as u64
-            + self.private_data_bytes
-    }
 }
 
 /// The set of addresses one execution touched, split by kind.

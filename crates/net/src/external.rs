@@ -53,8 +53,6 @@ pub struct ExternalNetwork {
     bytes_per_cycle: f64,
     /// Per-server NIC egress availability.
     nic_free_at: Vec<Cycles>,
-    messages: u64,
-    queue_cycles: u64,
 }
 
 impl ExternalNetwork {
@@ -82,8 +80,6 @@ impl ExternalNetwork {
             one_way,
             bytes_per_cycle,
             nic_free_at: vec![Cycles::ZERO; servers],
-            messages: 0,
-            queue_cycles: 0,
         }
     }
 
@@ -151,11 +147,9 @@ impl ExternalNetwork {
                 ..ExternalSendTrace::default()
             };
         }
-        self.messages += 1;
         let ser = Cycles::new(((bytes as f64 / self.bytes_per_cycle).ceil() as u64).max(1));
         let start = depart.max(self.nic_free_at[src]);
         let queued = start - depart;
-        self.queue_cycles += queued.raw();
         self.nic_free_at[src] = start + ser;
         ExternalSendTrace {
             arrival: start + ser + self.one_way + jitter,
@@ -164,29 +158,6 @@ impl ExternalNetwork {
             propagation: self.one_way,
             jitter,
         }
-    }
-
-    /// Uncontended one-way latency for `bytes`.
-    pub fn ideal_latency(&self, bytes: u64) -> Cycles {
-        let ser = Cycles::new(((bytes as f64 / self.bytes_per_cycle).ceil() as u64).max(1));
-        ser + self.one_way
-    }
-
-    /// Messages sent so far.
-    pub fn message_count(&self) -> u64 {
-        self.messages
-    }
-
-    /// Total NIC queueing delay accumulated, in cycles.
-    pub fn queue_cycles(&self) -> u64 {
-        self.queue_cycles
-    }
-
-    /// Clears NIC occupancy and statistics.
-    pub fn reset(&mut self) {
-        self.nic_free_at.fill(Cycles::ZERO);
-        self.messages = 0;
-        self.queue_cycles = 0;
     }
 }
 
@@ -210,7 +181,6 @@ mod tests {
     fn same_server_is_free() {
         let mut n = ExternalNetwork::paper_default(4, freq());
         assert_eq!(n.send(2, 2, 1_000_000, Cycles::new(5)), Cycles::new(5));
-        assert_eq!(n.message_count(), 0);
     }
 
     #[test]
@@ -220,7 +190,6 @@ mod tests {
         let b = n.send(0, 1, 50, Cycles::ZERO);
         assert_eq!(a, Cycles::new(150));
         assert_eq!(b, Cycles::new(200)); // queued 50 behind the first
-        assert_eq!(n.queue_cycles(), 50);
     }
 
     #[test]
@@ -252,7 +221,6 @@ mod tests {
         let tr = n.send_traced(1, 1, 999, Cycles::new(7));
         assert_eq!(tr.arrival, Cycles::new(7));
         assert_eq!(tr.queued + tr.serialization + tr.propagation, Cycles::ZERO);
-        assert_eq!(n.message_count(), 0);
     }
 
     #[test]
@@ -268,21 +236,6 @@ mod tests {
         // The next message queues behind serialization only, not jitter.
         let b = n.send_traced_jittered(0, 1, 50, Cycles::ZERO, Cycles::ZERO);
         assert_eq!(b.queued, Cycles::new(50));
-    }
-
-    #[test]
-    fn ideal_matches_idle_send() {
-        let mut n = ExternalNetwork::paper_default(2, freq());
-        assert_eq!(n.ideal_latency(4096), n.send(0, 1, 4096, Cycles::ZERO));
-    }
-
-    #[test]
-    fn reset_restores_fresh_state() {
-        let mut n = ExternalNetwork::new(2, Cycles::new(10), 1.0);
-        n.send(0, 1, 1000, Cycles::ZERO);
-        n.reset();
-        assert_eq!(n.message_count(), 0);
-        assert_eq!(n.send(0, 1, 10, Cycles::ZERO), Cycles::new(20));
     }
 
     #[test]

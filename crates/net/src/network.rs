@@ -73,8 +73,6 @@ pub struct NetworkStats {
     pub messages: u64,
     /// Total cycles spent queueing for busy links (contention delay).
     pub queue_cycles: u64,
-    /// Largest single-message queueing delay seen.
-    pub max_queue_cycles: u64,
     /// Total hops traversed.
     pub hops: u64,
 }
@@ -286,7 +284,7 @@ impl<T: Topology> Network<T> {
         let mut sers = std::mem::take(&mut self.serializations);
         sers.clear();
         let mut t = depart;
-        let mut waited = Cycles::ZERO;
+        let mut queued = Cycles::ZERO;
         let mut serialization = Cycles::ZERO;
         for &link in route {
             let ser = self.serialization(bytes, link);
@@ -294,18 +292,13 @@ impl<T: Topology> Network<T> {
             if count > 1 {
                 sers.push(ser);
             }
-            self.hop(link, ser, &mut t, &mut waited);
+            self.hop(link, ser, &mut t, &mut queued);
         }
-        self.stats.max_queue_cycles = self.stats.max_queue_cycles.max(waited.raw());
-        let mut queued = waited;
         for _ in 1..count {
             t = depart;
-            waited = Cycles::ZERO;
             for (&link, &ser) in route.iter().zip(&sers) {
-                self.hop(link, ser, &mut t, &mut waited);
+                self.hop(link, ser, &mut t, &mut queued);
             }
-            self.stats.max_queue_cycles = self.stats.max_queue_cycles.max(waited.raw());
-            queued += waited;
         }
         self.serializations = sers;
         self.stats.queue_cycles += queued.raw();

@@ -89,6 +89,11 @@ proptest! {
         .run();
         assert_conserved(&r);
         prop_assert_eq!(r.breakdown.is_some(), trace);
+        if hold_core {
+            // Run-to-completion: a blocked request keeps its core, so
+            // nothing is ever switched out.
+            prop_assert_eq!(r.ctx_switches, 0);
+        }
     }
 
     /// Conservation survives the resilience machinery: hedged attempts,
