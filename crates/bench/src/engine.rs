@@ -3,12 +3,13 @@
 //!
 //! The workload replays the event-queue traffic a Figure 7 run generates,
 //! without the rest of the system simulator: every Poisson arrival over the
-//! horizon is pre-scheduled up front (exactly as `SystemSim::new` does), and
-//! each delivered event spawns a short near-future follow-up chain standing
-//! in for the Enqueue → SegmentDone/Unblock → CoreFree cascade a request
-//! produces. That shape — a deep backlog of far-out arrivals with hot
-//! near-term chains racing through it — is what the calendar queue is
-//! built for.
+//! horizon is pre-scheduled up front, and each delivered event spawns a
+//! short near-future follow-up chain standing in for the Enqueue →
+//! SegmentDone/Unblock → CoreFree cascade a request produces. That shape —
+//! a deep backlog of far-out arrivals with hot near-term chains racing
+//! through it — is what the calendar queue is built for. It is a stress
+//! shape, not a run's: `SystemSim` reads its arrivals from a cursor beside
+//! the queue, so its queue never holds that backlog.
 
 use um_sim::{Cycles, EventQueue, Frequency};
 use um_workload::PoissonArrivals;
@@ -23,16 +24,15 @@ pub const CHAIN_DEPTH: u64 = 8;
 #[derive(Clone, Debug)]
 pub struct Workload {
     /// Absolute arrival times, in schedule order: one Poisson stream per
-    /// server, concatenated server-by-server (unsorted overall) — exactly
-    /// the order `SystemSim::new` pre-schedules them.
+    /// server, concatenated server-by-server (unsorted overall).
     pub arrivals: Vec<u64>,
 }
 
 impl Workload {
     /// Builds the arrival schedule for one fig7 load point: `servers`
     /// independent per-server Poisson streams at `rps` over `horizon_us`,
-    /// merged into one queue the way the system simulator schedules a
-    /// cluster, so the pending-event backlog grows with the fleet.
+    /// all scheduled into one queue up front, so the pending-event backlog
+    /// grows with the fleet.
     pub fn fig7(rps: f64, horizon_us: f64, servers: usize, seed: u64) -> Self {
         let freq = Frequency::ghz(2.0);
         let mut arrivals = Vec::new();

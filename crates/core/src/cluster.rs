@@ -187,8 +187,6 @@ impl Default for ClusterConfig {
 pub struct ClusterReport {
     /// Fleet end-to-end latency digest (client send to response receipt).
     pub latency: Summary,
-    /// The recorded fleet latency samples, microseconds.
-    pub latency_samples: Samples,
     /// Cluster-hop share digest (LB wait + both fabric legs),
     /// microseconds.
     pub cluster_hop: Summary,
@@ -647,7 +645,7 @@ impl ClusterSim {
         }
     }
 
-    fn into_report(mut self) -> ClusterReport {
+    fn into_report(self) -> ClusterReport {
         #[cfg(feature = "sim-sanitizer")]
         {
             // Fleet conservation: with the calendar drained, every
@@ -684,7 +682,6 @@ impl ClusterSim {
                 self.cfg.seed, self.cfg.nodes, self.admitted
             ));
         }
-        self.latency.freeze();
         let conservation = self.breakdown.stats();
         let breakdown = self
             .cfg
@@ -696,7 +693,6 @@ impl ClusterSim {
         ClusterReport {
             latency: self.latency.summary(),
             cluster_hop: self.hop_us.summary(),
-            latency_samples: self.latency,
             completed: self.completed,
             recorded: self.recorded,
             gave_up: self.gave_up,

@@ -122,8 +122,8 @@ pub struct RunReport {
     pub latency: Summary,
     /// Raw end-to-end latency samples, microseconds.
     pub latency_samples: Samples,
-    /// Village-queue waiting time digest (per dispatch), microseconds.
-    pub queueing: Summary,
+    /// Mean village-queue waiting time per dispatch, microseconds.
+    pub queue_wait_us: f64,
     /// Completed external requests.
     pub completed: u64,
     /// External requests recorded (completed after warm-up).
@@ -177,7 +177,7 @@ mod tests {
         let report = RunReport {
             latency: samples.summary(),
             latency_samples: samples,
-            queueing: Summary::default(),
+            queue_wait_us: 0.0,
             completed: 100,
             recorded: 100,
             utilization: 0.5,

@@ -494,7 +494,9 @@ pub struct SystemSim {
     warmup: Cycles,
     // Statistics.
     latency: Samples,
-    queueing: Samples,
+    /// Village-queue wait summed over dispatches, and the dispatch count.
+    queue_wait: Cycles,
+    dispatches: u64,
     completed: u64,
     recorded: u64,
     ctx_switches: u64,
@@ -758,7 +760,8 @@ impl SystemSim {
             admitted: 0,
             servers,
             latency: Samples::new(),
-            queueing: Samples::new(),
+            queue_wait: Cycles::ZERO,
+            dispatches: 0,
             completed: 0,
             recorded: 0,
             ctx_switches: 0,
@@ -1354,7 +1357,8 @@ impl SystemSim {
         let mut t = now;
         if !in_place {
             let waited = now - self.requests[req].enqueued_at;
-            self.queueing.record(waited.as_micros(self.freq()));
+            self.queue_wait += waited;
+            self.dispatches += 1;
             // Queue residence runs from the (lock-serialized) insert to
             // dispatch.
             self.requests[req]
@@ -1962,7 +1966,7 @@ impl SystemSim {
 
     /// Finalizes a step-driven run: sanitizer end-of-run checks plus the
     /// report. [`SystemSim::run`] calls this after draining the queue.
-    pub fn finish(mut self) -> RunReport {
+    pub fn finish(self) -> RunReport {
         // Request conservation: with the event queue drained, every admitted
         // request must have reached Done and been counted exactly once.
         #[cfg(feature = "sim-sanitizer")]
@@ -2026,7 +2030,6 @@ impl SystemSim {
                 self.cfg.seed, self.admitted
             ));
         }
-        self.latency.freeze();
         let total_core_cycles = (self.cfg.machine.total_cores() as u128)
             * (self.horizon.raw() as u128)
             * (self.cfg.servers as u128);
@@ -2042,7 +2045,11 @@ impl SystemSim {
             .then(|| BreakdownReport::from_samples(&self.breakdown.samples));
         RunReport {
             latency: self.latency.summary(),
-            queueing: self.queueing.summary(),
+            queue_wait_us: if self.dispatches == 0 {
+                0.0
+            } else {
+                self.queue_wait.as_micros(self.freq()) / self.dispatches as f64
+            },
             latency_samples: self.latency,
             completed: self.completed,
             recorded: self.recorded,

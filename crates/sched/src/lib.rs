@@ -9,7 +9,7 @@
 //! - [`RequestQueue`]: the hardware Request Queue of §4.3 — a circular
 //!   buffer with per-entry status, service id and a Request Context Memory
 //!   slot, operated by `Enqueue`/`Dequeue`/`Complete`/`ContextSwitch`
-//!   semantics.
+//!   semantics, and modelled as the FIFO window of entries it holds.
 //! - [`PartitionedRq`]: the §4.3 "more advanced design": an RQ_Map that
 //!   partitions the RQ among co-located services (evaluated here as an
 //!   extension/ablation; the paper describes but does not evaluate it).

@@ -2,7 +2,7 @@
 //! partitioned extension.
 
 use crate::policy::DequeuePolicy;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use um_sim::Cycles;
 
 /// Status of one Request Queue entry (§4.3: "running, ready to run,
@@ -48,13 +48,13 @@ impl std::fmt::Display for RqError {
 
 impl std::error::Error for RqError {}
 
-/// Handle to a Request Queue entry.
+/// Handle to a Request Queue entry: its enqueue number.
 ///
-/// Carries a generation so a handle kept across slot reuse is detected as
-/// [`RqError::StaleSlot`] instead of corrupting an unrelated request.
+/// Numbers are never reused, so a handle kept past its entry's
+/// reclamation is detected as [`RqError::StaleSlot`] instead of
+/// corrupting an unrelated request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RqSlot {
-    index: usize,
     generation: u64,
 }
 
@@ -62,7 +62,6 @@ pub struct RqSlot {
 struct Entry<T> {
     status: RqEntryStatus,
     service: u32,
-    generation: u64,
     /// When the entry last became Ready (enqueue or unblock);
     /// `dequeue_any_with_at` reports `now - ready_since` as the queue wait.
     ready_since: Cycles,
@@ -86,8 +85,9 @@ struct Entry<T> {
 ///   finished entries to reclaim slots.
 ///
 /// Capacity is only a bound. Entries are written at the tail and freed
-/// only at the head, so the occupied slots are exactly the ring window
-/// `[head, head + len)`; `Dequeue` scans that window alone, head first,
+/// only at the head, so the occupied entries are always one FIFO window;
+/// the model holds exactly that window, head first, and a deep RQ costs
+/// memory only for the entries it holds. `Dequeue` scans the window,
 /// and returns at once when a count of Ready entries is zero. Its cost
 /// follows the occupancy, not the capacity.
 ///
@@ -107,21 +107,20 @@ struct Entry<T> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct RequestQueue<T> {
-    slots: Vec<Option<Entry<T>>>,
-    /// The oldest entry; the occupied slots are the ring window
-    /// `[head, head + len)`, and the tail is its end.
-    head: usize,
-    len: usize,
+    /// The occupied entries, head first.
+    entries: VecDeque<Entry<T>>,
+    capacity: usize,
+    /// Enqueue number of the head entry; the entry numbered `g` sits at
+    /// `g - head_generation`.
+    head_generation: u64,
     /// Entries in [`RqEntryStatus::Ready`]; a `Dequeue` with none to find
     /// returns without scanning.
     ready: usize,
-    next_generation: u64,
-    enqueues: u64,
 }
 
 impl<T> RequestQueue<T> {
     /// Creates an empty RQ with `capacity` entries (the paper uses 64 per
-    /// village).
+    /// village). Allocates nothing until the first enqueue.
     ///
     /// # Panics
     ///
@@ -129,34 +128,32 @@ impl<T> RequestQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "request queue needs nonzero capacity");
         Self {
-            slots: (0..capacity).map(|_| None).collect(),
-            head: 0,
-            len: 0,
+            entries: VecDeque::new(),
+            capacity,
+            head_generation: 0,
             ready: 0,
-            next_generation: 0,
-            enqueues: 0,
         }
     }
 
     /// Capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Number of occupied entries (including finished ones not yet
     /// reclaimed).
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the RQ holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
     /// Whether the RQ cannot accept another request.
     pub fn is_full(&self) -> bool {
-        self.len == self.slots.len()
+        self.entries.len() == self.capacity
     }
 
     /// Enqueues a request for `service` at the tail.
@@ -181,73 +178,39 @@ impl<T> RequestQueue<T> {
         if self.is_full() {
             return Err(RqError::Full);
         }
-        let index = (self.head + self.len) % self.slots.len();
-        debug_assert!(self.slots[index].is_none(), "tail points at occupied slot");
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        self.slots[index] = Some(Entry {
+        let slot = RqSlot {
+            generation: self.enqueue_count(),
+        };
+        self.entries.push_back(Entry {
             status: RqEntryStatus::Ready,
             service,
-            generation,
             ready_since: now,
             ctx,
         });
-        self.len += 1;
         self.ready += 1;
-        self.enqueues += 1;
         #[cfg(feature = "sim-sanitizer")]
-        self.check_occupancy();
-        Ok(RqSlot { index, generation })
+        self.check_ready_count();
+        Ok(slot)
     }
 
-    /// Sanitizer hook for the counters `Dequeue` trusts: the cached `len`
-    /// must equal the number of occupied slots, every occupied slot must
-    /// lie in the window `[head, head + len)` the scan walks, and the
-    /// cached `ready` must equal the number of Ready entries. This is the
-    /// only code that walks every slot.
+    /// Sanitizer hook for the counter `Dequeue` trusts: the cached
+    /// `ready` must equal the number of Ready entries.
     #[cfg(feature = "sim-sanitizer")]
-    fn check_occupancy(&self) {
-        let cap = self.slots.len();
-        let (mut occupied, mut ready, mut outside) = (0, 0, 0);
-        for (idx, entry) in self.slots.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            occupied += 1;
-            if entry.status == RqEntryStatus::Ready {
-                ready += 1;
-            }
-            if (idx + cap - self.head) % cap >= self.len {
-                outside += 1;
-            }
-        }
-        let report = |msg: String| um_sim::sanitizer::report("rq-occupancy", msg);
-        if occupied != self.len {
-            report(format!(
-                "request queue len {} disagrees with {occupied} occupied slot(s)",
-                self.len
-            ));
-        }
-        if outside > 0 {
-            report(format!(
-                "{outside} occupied slot(s) outside the ring window at head {} len {}",
-                self.head, self.len
-            ));
-        }
+    fn check_ready_count(&self) {
+        let ready = self
+            .entries
+            .iter()
+            .filter(|e| e.status == RqEntryStatus::Ready)
+            .count();
         if ready != self.ready {
-            report(format!(
-                "request queue ready count {} disagrees with {ready} Ready entr(ies)",
-                self.ready
-            ));
+            um_sim::sanitizer::report(
+                "rq-occupancy",
+                format!(
+                    "request queue ready count {} disagrees with {ready} Ready entr(ies)",
+                    self.ready
+                ),
+            );
         }
-    }
-
-    /// Corrupts the cached occupancy counter.
-    ///
-    /// Exists only so sanitizer tests can verify the `rq-occupancy` checker
-    /// fires; never call this from simulation code.
-    #[cfg(feature = "sim-sanitizer")]
-    #[doc(hidden)]
-    pub fn corrupt_len_for_sanitizer_test(&mut self, len: usize) {
-        self.len = len;
     }
 
     /// Corrupts the cached Ready-entry counter.
@@ -258,21 +221,6 @@ impl<T> RequestQueue<T> {
     #[doc(hidden)]
     pub fn corrupt_ready_for_sanitizer_test(&mut self, ready: usize) {
         self.ready = ready;
-    }
-
-    /// The occupied entries with their slot indices, head first: the ring
-    /// window `[head, head + len)` walked as its (at most) two contiguous
-    /// halves. Every slot outside the window is empty.
-    fn occupied(&self) -> impl Iterator<Item = (usize, &Entry<T>)> {
-        let cap = self.slots.len();
-        let end = self.head + self.len;
-        let first = &self.slots[self.head..end.min(cap)];
-        let wrapped = &self.slots[..end.saturating_sub(cap)];
-        first
-            .iter()
-            .zip(self.head..)
-            .chain(wrapped.iter().zip(0..))
-            .filter_map(|(slot, idx)| slot.as_ref().map(|e| (idx, e)))
     }
 
     /// The `Dequeue` instruction: claims the ready entry closest to the
@@ -306,7 +254,7 @@ impl<T> RequestQueue<T> {
             return None;
         }
         let idx = {
-            let mut candidates = self.occupied().filter(|(_, e)| {
+            let mut candidates = self.entries.iter().enumerate().filter(|(_, e)| {
                 e.status == RqEntryStatus::Ready && service.is_none_or(|svc| e.service == svc)
             });
             match policy {
@@ -326,24 +274,33 @@ impl<T> RequestQueue<T> {
                 }
             }
         };
-        let entry = self.slots[idx].as_mut().expect("chosen slot occupied");
-        entry.status = RqEntryStatus::Running;
-        let wait = now.saturating_sub(entry.ready_since);
-        let slot = RqSlot {
-            index: idx,
-            generation: entry.generation,
-        };
+        self.entries[idx].status = RqEntryStatus::Running;
         self.ready -= 1;
         #[cfg(feature = "sim-sanitizer")]
-        self.check_occupancy();
-        Some((slot, &self.slots[idx].as_ref().expect("occupied").ctx, wait))
+        self.check_ready_count();
+        let slot = RqSlot {
+            generation: self.head_generation + idx as u64,
+        };
+        let entry = &self.entries[idx];
+        Some((slot, &entry.ctx, now.saturating_sub(entry.ready_since)))
+    }
+
+    /// The position of the entry a handle names, if it is still held: the
+    /// handle's number lies in `[head_generation, head_generation + len)`.
+    fn position(&self, slot: RqSlot) -> Option<usize> {
+        let offset = slot.generation.checked_sub(self.head_generation)?;
+        usize::try_from(offset)
+            .ok()
+            .filter(|&idx| idx < self.entries.len())
+    }
+
+    fn entry(&self, slot: RqSlot) -> Option<&Entry<T>> {
+        self.position(slot).map(|idx| &self.entries[idx])
     }
 
     fn entry_mut(&mut self, slot: RqSlot) -> Result<&mut Entry<T>, RqError> {
-        match self.slots[slot.index].as_mut() {
-            Some(e) if e.generation == slot.generation => Ok(e),
-            _ => Err(RqError::StaleSlot),
-        }
+        let idx = self.position(slot).ok_or(RqError::StaleSlot)?;
+        Ok(&mut self.entries[idx])
     }
 
     /// The `ContextSwitch` instruction's RQ side: running -> blocked.
@@ -385,7 +342,7 @@ impl<T> RequestQueue<T> {
         e.ready_since = now;
         self.ready += 1;
         #[cfg(feature = "sim-sanitizer")]
-        self.check_occupancy();
+        self.check_ready_count();
         Ok(())
     }
 
@@ -406,35 +363,26 @@ impl<T> RequestQueue<T> {
     }
 
     fn reclaim(&mut self) {
-        let cap = self.slots.len();
-        while self.len > 0 {
-            match &self.slots[self.head] {
-                Some(e) if e.status == RqEntryStatus::Finished => {
-                    self.slots[self.head] = None;
-                    self.head = (self.head + 1) % cap;
-                    self.len -= 1;
-                }
-                _ => break,
-            }
+        while self
+            .entries
+            .front()
+            .is_some_and(|e| e.status == RqEntryStatus::Finished)
+        {
+            self.entries.pop_front();
+            self.head_generation += 1;
         }
         #[cfg(feature = "sim-sanitizer")]
-        self.check_occupancy();
+        self.check_ready_count();
     }
 
     /// Status of an entry; `None` for stale handles.
     pub fn status(&self, slot: RqSlot) -> Option<RqEntryStatus> {
-        match &self.slots[slot.index] {
-            Some(e) if e.generation == slot.generation => Some(e.status),
-            _ => None,
-        }
+        self.entry(slot).map(|e| e.status)
     }
 
     /// Immutable access to a request's context memory.
     pub fn ctx(&self, slot: RqSlot) -> Option<&T> {
-        match &self.slots[slot.index] {
-            Some(e) if e.generation == slot.generation => Some(&e.ctx),
-            _ => None,
-        }
+        self.entry(slot).map(|e| &e.ctx)
     }
 
     /// The per-core Work flag (§4.3): whether a ready entry exists for
@@ -442,18 +390,19 @@ impl<T> RequestQueue<T> {
     pub fn has_ready(&self, service: u32) -> bool {
         self.ready > 0
             && self
-                .occupied()
-                .any(|(_, e)| e.status == RqEntryStatus::Ready && e.service == service)
+                .entries
+                .iter()
+                .any(|e| e.status == RqEntryStatus::Ready && e.service == service)
     }
 
     /// Count of entries in a given status.
     pub fn count_status(&self, status: RqEntryStatus) -> usize {
-        self.occupied().filter(|(_, e)| e.status == status).count()
+        self.entries.iter().filter(|e| e.status == status).count()
     }
 
     /// Total accepted enqueues.
     pub fn enqueue_count(&self) -> u64 {
-        self.enqueues
+        self.head_generation + self.entries.len() as u64
     }
 }
 
@@ -641,11 +590,42 @@ mod tests {
         rq.dequeue(1).unwrap();
         rq.complete(a).unwrap();
         assert_eq!(rq.len(), 1);
-        let c = rq.enqueue(1, 2).unwrap(); // reuses a's slot
-        assert_eq!(c.index, a.index);
+        let c = rq.enqueue(1, 2).unwrap(); // takes a's freed place
         assert_ne!(c.generation, a.generation);
         assert_eq!(rq.status(a), None, "stale handle must not resolve");
         let _ = b;
+    }
+
+    #[test]
+    fn stale_handles_do_not_resolve() {
+        let mut rq = RequestQueue::new(4);
+        let a = rq.enqueue(1, 0).unwrap();
+        let b = rq.enqueue(1, 1).unwrap();
+        rq.dequeue(1).unwrap();
+        rq.complete(a).unwrap();
+        // Behind the head after reclamation.
+        assert_eq!(rq.status(a), None);
+        assert_eq!(rq.ctx(a), None);
+        assert_eq!(rq.block(a), Err(RqError::StaleSlot));
+        assert_eq!(rq.complete(a), Err(RqError::StaleSlot));
+        // Never issued: one past the newest entry.
+        let unissued = RqSlot {
+            generation: b.generation + 1,
+        };
+        assert_eq!(rq.status(unissued), None);
+        assert_eq!(rq.unblock(unissued), Err(RqError::StaleSlot));
+        assert_eq!(rq.status(b), Some(RqEntryStatus::Ready));
+    }
+
+    #[test]
+    fn unbounded_capacity_allocates_on_demand() {
+        let mut rq: RequestQueue<u64> = RequestQueue::new(usize::MAX);
+        assert!(!rq.is_full());
+        let a = rq.enqueue(1, 7).unwrap();
+        assert_eq!(rq.dequeue(1), Some((a, &7)));
+        rq.complete(a).unwrap();
+        assert!(rq.is_empty());
+        assert_eq!(rq.capacity(), usize::MAX);
     }
 
     #[test]
@@ -965,8 +945,7 @@ mod proptests {
 
     /// The reference RQ: every live entry (Finished-but-unreclaimed
     /// included) in enqueue order, scanned in full at every dequeue. The
-    /// tail advances once per accepted enqueue, so the `n`-th accepted
-    /// request lands in slot `n % capacity` with generation `n`.
+    /// `n`-th accepted request gets generation `n`.
     struct Reference {
         capacity: usize,
         accepted: u64,
@@ -984,7 +963,6 @@ mod proptests {
                 return Err(RqError::Full);
             }
             let slot = RqSlot {
-                index: (self.accepted % self.capacity as u64) as usize,
                 generation: self.accepted,
             };
             self.accepted += 1;
@@ -1061,8 +1039,8 @@ mod proptests {
         /// The RQ claims exactly the entry a full scan of the live entries
         /// in enqueue order would, with the same wait, and finds nothing
         /// exactly when that scan finds nothing Ready. `shift` warm-up
-        /// rounds first move the head anywhere in the ring, so op
-        /// sequences wrap it; random completions leave Finished holes and
+        /// rounds first advance the head's enqueue number, so handles are
+        /// looked up at an offset; random completions leave Finished holes and
         /// random blocks park Blocked entries ahead of Ready ones.
         #[test]
         fn rq_matches_full_scan_reference(

@@ -1,25 +1,11 @@
 //! Deliberate-violation tests for the `sim-sanitizer` checkers in this
-//! crate: a corrupted RQ occupancy or Ready-entry counter and an
-//! overdrawn retry budget must surface as structured violations, while
-//! healthy lifecycles leave the registry empty.
+//! crate: a corrupted RQ Ready-entry counter and an overdrawn retry
+//! budget must surface as structured violations, while healthy
+//! lifecycles leave the registry empty.
 #![cfg(feature = "sim-sanitizer")]
 
 use um_sched::{RequestQueue, RetryBudget};
 use um_sim::sanitizer;
-
-#[test]
-fn corrupted_occupancy_is_reported() {
-    let _ = sanitizer::take();
-    let mut rq = RequestQueue::new(4);
-    rq.enqueue(1, ()).unwrap();
-    rq.corrupt_len_for_sanitizer_test(3);
-    rq.enqueue(1, ()).unwrap();
-    let violations = sanitizer::take();
-    assert!(
-        violations.iter().any(|v| v.checker == "rq-occupancy"),
-        "occupancy drift reported: {violations:?}"
-    );
-}
 
 #[test]
 fn corrupted_ready_count_is_reported() {

@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 use um_bench::benchjson::{obj, Json};
@@ -140,7 +140,6 @@ struct Job {
 
 struct Inner {
     jobs: Mutex<BTreeMap<u64, Job>>,
-    changed: Condvar,
     cache: Mutex<BTreeMap<String, Arc<JobResult>>>,
     next_id: AtomicU64,
     simulations_run: AtomicU64,
@@ -169,7 +168,6 @@ impl JobService {
         let (tx, rx) = sync_channel(config.queue_depth);
         let inner = Arc::new(Inner {
             jobs: Mutex::new(BTreeMap::new()),
-            changed: Condvar::new(),
             cache: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
             simulations_run: AtomicU64::new(0),
@@ -219,7 +217,6 @@ impl JobService {
                     result: Some(result),
                 },
             );
-            self.inner.changed.notify_all();
             return Ok(SubmitOutcome { id, cached: true });
         }
 
@@ -263,25 +260,6 @@ impl JobService {
             .expect("jobs lock")
             .get(&id)
             .and_then(|j| j.result.clone())
-    }
-
-    /// Blocks until the job leaves the queued/running states, returning
-    /// its final status (`None` for an unknown id).
-    pub fn wait_done(&self, id: u64) -> Option<JobStatus> {
-        let mut jobs = self.inner.jobs.lock().expect("jobs lock");
-        loop {
-            match jobs.get(&id) {
-                None => return None,
-                Some(j) => match &j.status {
-                    JobStatus::Done { .. } | JobStatus::Failed { .. } => {
-                        return Some(j.status.clone())
-                    }
-                    JobStatus::Queued | JobStatus::Running { .. } => {
-                        jobs = self.inner.changed.wait(jobs).expect("jobs lock");
-                    }
-                },
-            }
-        }
     }
 
     /// Current counters.
@@ -338,7 +316,7 @@ fn worker_loop(inner: &Arc<Inner>) {
 }
 
 fn run_job(inner: &Arc<Inner>, id: u64) {
-    let (scenario, total) = {
+    let scenario = {
         let mut jobs = inner.jobs.lock().expect("jobs lock");
         let job = jobs.get_mut(&id).expect("admitted job exists");
         let total = job
@@ -347,7 +325,7 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
             .map(|points| points.len())
             .unwrap_or(0);
         job.status = JobStatus::Running { done: 0, total };
-        (job.scenario.clone(), total)
+        job.scenario.clone()
     };
     let key = scenario.to_json_text();
     let on_progress = |done: usize, total_points: usize| {
@@ -388,7 +366,4 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
             job.status = JobStatus::Failed { error };
         }
     }
-    drop(jobs);
-    let _ = total; // progress totals come from the runner's callback
-    inner.changed.notify_all();
 }

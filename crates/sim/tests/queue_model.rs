@@ -250,13 +250,13 @@ fn stress_delta(rng: &mut SmallRng) -> u64 {
     }
 }
 
-/// Cluster-scale differential: the 64-node rack experiments hold on the
-/// order of a million live events, far beyond what the proptest above
-/// reaches. Build a ~2^20-event population whose times straddle the
-/// 2^36 wheel horizon, churn it through a pop/schedule cycle that walks
-/// the wheel base across the horizon (cascading the sorted overflow
-/// level back into the wheel), then drain — the calendar must match the
-/// reference heap at every delivery.
+/// Million-event differential: a live population far beyond what the
+/// proptest above reaches, or any simulator run holds (external arrivals
+/// wait in a cursor, not the queue). Build a ~2^20-event population whose
+/// times straddle the 2^36 wheel horizon, churn it through a pop/schedule
+/// cycle that walks the wheel base across the horizon (cascading the
+/// sorted overflow level back into the wheel), then drain — the calendar
+/// must match the reference heap at every delivery.
 #[test]
 fn cluster_scale_population_straddles_the_wheel_horizon() {
     const LIVE: usize = 1 << 20;
@@ -304,7 +304,7 @@ fn cluster_scale_population_straddles_the_wheel_horizon() {
 
 /// The underflow list (events injected behind the wheel base, reachable
 /// only through the sanitizer-facing `schedule_at_unchecked`) under a
-/// cluster-scale live population: injected causality breaks must drain
+/// million-event live population: injected causality breaks must drain
 /// first, in `(time, seq)` order, before any of the million in-order
 /// events — exactly the heap-minimal order the `BinaryHeap`
 /// implementation gave them. The reference here is a sorted-vector

@@ -1,6 +1,5 @@
 //! Exact sample storage with percentile queries.
 
-use std::borrow::Cow;
 use std::fmt;
 
 /// An exact collection of `f64` samples supporting mean/percentile queries.
@@ -9,11 +8,10 @@ use std::fmt;
 /// experiment-scale measurements (tens of thousands of request latencies);
 /// for unbounded streams use [`crate::Histogram`] instead.
 ///
-/// On an unfrozen set every percentile query sorts a copy of the values;
-/// [`Samples::freeze`] sorts once and caches the order, so later queries
-/// are an index into the cache until the next `record` or `merge` drops
-/// it. [`crate::Summary::of`] needs no freeze: it copies once and selects
-/// its two ranks.
+/// The set holds one copy of its values, in insertion order. A
+/// percentile query copies them and selects its rank in O(n) rather than
+/// sorting; [`crate::Summary::of`] copies once and selects both of its
+/// ranks.
 ///
 /// # Examples
 ///
@@ -30,9 +28,6 @@ use std::fmt;
 #[derive(Clone, Debug, Default)]
 pub struct Samples {
     values: Vec<f64>,
-    /// The values of `values` in ascending order; a length mismatch with
-    /// `values` means the cache is stale.
-    sorted: Vec<f64>,
 }
 
 impl Samples {
@@ -45,7 +40,6 @@ impl Samples {
     pub fn with_capacity(cap: usize) -> Self {
         Self {
             values: Vec::with_capacity(cap),
-            sorted: Vec::new(),
         }
     }
 
@@ -58,7 +52,6 @@ impl Samples {
     pub fn record(&mut self, value: f64) {
         assert!(!value.is_nan(), "NaN sample recorded");
         self.values.push(value);
-        self.sorted.clear();
     }
 
     /// Number of recorded samples.
@@ -109,28 +102,21 @@ impl Samples {
         if self.values.is_empty() {
             return 0.0;
         }
-        self.sorted_values()[rank_index(q, self.values.len())]
+        let k = rank_index(q, self.values.len());
+        let mut v = self.values.clone();
+        *v.select_nth_unstable_by(k, f64::total_cmp).1
     }
 
-    /// The median and P99 together, as [`crate::Summary::of`] reports them.
-    ///
-    /// A frozen set reads both from its cache. An unfrozen one copies its
-    /// values once and selects the two ranks in place instead of sorting:
-    /// O(n) rather than a sort per query.
+    /// The median and P99 together, as [`crate::Summary::of`] reports them:
+    /// one copy of the values, with both ranks selected in it.
     pub(crate) fn median_and_p99(&self) -> (f64, f64) {
         let n = self.values.len();
         if n == 0 {
             return (0.0, 0.0);
         }
         let (i50, i99) = (rank_index(0.5, n), rank_index(0.99, n));
-        if self.is_frozen() {
-            return (self.sorted[i50], self.sorted[i99]);
-        }
-        // Exact, not an approximation: two values `total_cmp` calls equal
-        // have identical bits, so the element selected at rank k is the
-        // very value a stable `total_cmp` sort puts at index k. Everything
-        // left of `i99` is then the `i99` smallest values, so the median
-        // is selected within that partition.
+        // Everything left of `i99` is the `i99` smallest values, so the
+        // median is selected within that partition.
         let mut v = self.values.clone();
         let (lower, &mut p99, _) = v.select_nth_unstable_by(i99, f64::total_cmp);
         let p50 = if i50 == i99 {
@@ -169,36 +155,11 @@ impl Samples {
     /// Merges another sample set into this one.
     pub fn merge(&mut self, other: &Samples) {
         self.values.extend_from_slice(&other.values);
-        self.sorted.clear();
     }
 
     /// Produces a [`crate::Summary`] digest of this sample set.
     pub fn summary(&self) -> crate::Summary {
         crate::Summary::of(self)
-    }
-
-    fn is_frozen(&self) -> bool {
-        self.sorted.len() == self.values.len()
-    }
-
-    fn sorted_values(&self) -> Cow<'_, [f64]> {
-        // Frozen sets borrow the cache (no per-query allocation — P99 is
-        // queried in hot report paths); unfrozen sets sort a copy.
-        if self.is_frozen() {
-            return Cow::Borrowed(&self.sorted);
-        }
-        let mut v = self.values.clone();
-        v.sort_by(f64::total_cmp);
-        Cow::Owned(v)
-    }
-
-    /// Sorts the values once and caches the order: until the next
-    /// `record` or `merge`, each percentile query indexes the cache
-    /// instead of sorting a copy.
-    pub fn freeze(&mut self) {
-        let mut v = self.values.clone();
-        v.sort_by(f64::total_cmp);
-        self.sorted = v;
     }
 }
 
@@ -206,6 +167,11 @@ impl Samples {
 /// nearest-rank rule: rank `ceil(q * len)`, clamped to `1..=len`, with
 /// `q == 0` taking the smallest value. Shared by [`Samples::percentile`]
 /// and [`crate::Summary::of`], so the two cannot disagree.
+///
+/// Selecting the element at this index with `total_cmp` is exact, not an
+/// approximation: two values `total_cmp` calls equal have identical bits,
+/// so the selected element is the very value a stable `total_cmp` sort
+/// puts at the index.
 fn rank_index(q: f64, len: usize) -> usize {
     if q <= 0.0 {
         return 0;
@@ -316,38 +282,6 @@ mod tests {
     fn quantile_out_of_range_rejected() {
         let s: Samples = [1.0].into_iter().collect();
         s.percentile(1.5);
-    }
-
-    #[test]
-    fn freeze_then_query_consistent() {
-        let mut s: Samples = [9.0, 7.0, 8.0].into_iter().collect();
-        let before = s.median();
-        s.freeze();
-        assert_eq!(s.median(), before);
-    }
-
-    #[test]
-    fn record_after_freeze_invalidates_cache() {
-        let mut s: Samples = [1.0, 2.0, 3.0].into_iter().collect();
-        s.freeze();
-        s.record(100.0);
-        assert_eq!(s.max(), 100.0);
-        assert_eq!(s.percentile(1.0), 100.0);
-    }
-
-    #[test]
-    fn frozen_and_unfrozen_percentiles_agree() {
-        let values = [9.0, 1.0, 5.0, 3.0, 7.0, 2.0, 8.0, 4.0, 6.0];
-        let unfrozen: Samples = values.into_iter().collect();
-        let mut frozen: Samples = values.into_iter().collect();
-        frozen.freeze();
-        // The frozen set serves queries from the borrowed cache; the
-        // unfrozen one sorts a copy. Results must be bit-identical.
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(unfrozen.percentile(q), frozen.percentile(q), "q={q}");
-        }
-        assert!(matches!(frozen.sorted_values(), Cow::Borrowed(_)));
-        assert!(matches!(unfrozen.sorted_values(), Cow::Owned(_)));
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn same_seed_bit_identical_reports() {
         assert_eq!(a.icn_messages, b.icn_messages);
         assert_eq!(a.latency.mean.to_bits(), b.latency.mean.to_bits());
         assert_eq!(a.latency.p99.to_bits(), b.latency.p99.to_bits());
-        assert_eq!(a.queueing.p99.to_bits(), b.queueing.p99.to_bits());
+        assert_eq!(a.queue_wait_us.to_bits(), b.queue_wait_us.to_bits());
     }
 }
 

@@ -64,8 +64,8 @@ fn four_workers_bit_identical_to_serial() {
                 "point {i}"
             );
             assert_eq!(
-                s.queueing.p99.to_bits(),
-                p.queueing.p99.to_bits(),
+                s.queue_wait_us.to_bits(),
+                p.queue_wait_us.to_bits(),
                 "point {i}"
             );
             assert_eq!(

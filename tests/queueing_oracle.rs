@@ -119,7 +119,7 @@ fn run_both_thread_counts(cfg: SimConfig) -> Vec<RunReport> {
             p.latency.mean.to_bits(),
             "UM_THREADS must not change results"
         );
-        assert_eq!(s.queueing.mean.to_bits(), p.queueing.mean.to_bits());
+        assert_eq!(s.queue_wait_us.to_bits(), p.queue_wait_us.to_bits());
         assert_eq!(s.completed, p.completed);
     }
     serial
@@ -149,7 +149,7 @@ fn mm1_mean_latency_matches_closed_form() {
         "M/M/1 mean sojourn",
     );
     assert_close(
-        mean_over(&reports, |r| r.queueing.mean),
+        mean_over(&reports, |r| r.queue_wait_us),
         wq,
         "M/M/1 mean queue wait",
     );
@@ -176,7 +176,7 @@ fn md1_mean_latency_matches_closed_form() {
         "M/D/1 mean sojourn",
     );
     assert_close(
-        mean_over(&reports, |r| r.queueing.mean),
+        mean_over(&reports, |r| r.queue_wait_us),
         wq,
         "M/D/1 mean queue wait",
     );
@@ -327,7 +327,7 @@ fn md1_queues_less_than_mm1() {
         &oracle_config(ServiceTimeDist::constant(MEAN_SERVICE_US), 103),
         1,
     );
-    let ratio = md1.queueing.mean / mm1.queueing.mean;
+    let ratio = md1.queue_wait_us / mm1.queue_wait_us;
     assert!(
         (0.35..0.7).contains(&ratio),
         "M/D/1 vs M/M/1 queue-wait ratio {ratio} (theory: 0.5)"
