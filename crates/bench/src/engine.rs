@@ -7,9 +7,9 @@
 //! short near-future follow-up chain standing in for the Enqueue →
 //! SegmentDone/Unblock → CoreFree cascade a request produces. That shape —
 //! a deep backlog of far-out arrivals with hot near-term chains racing
-//! through it — is what the calendar queue is built for. It is a stress
-//! shape, not a run's: `SystemSim` reads its arrivals from a cursor beside
-//! the queue, so its queue never holds that backlog.
+//! through it — is a stress shape, not a run's: `SystemSim` reads its
+//! arrivals from a cursor beside the queue, so its queue never holds that
+//! backlog.
 
 use um_sim::{Cycles, EventQueue, Frequency};
 use um_workload::PoissonArrivals;
@@ -79,8 +79,8 @@ pub fn replay(q: &mut EventQueue<u64>, workload: &Workload) -> Replay {
         let depth = event & 0xFF;
         if depth > 0 {
             let hop = splitmix(event) % 4_096 + 1;
-            // Every 16th hop is a timer-scale jump that exercises the
-            // upper wheel levels, like a boot or retry deadline.
+            // Every 16th hop is a timer-scale jump, like a boot or retry
+            // deadline.
             let hop = if splitmix(event ^ 0xA5A5).is_multiple_of(16) {
                 hop << 9
             } else {

@@ -6,7 +6,7 @@
 //! the cycle-faithful full-system model — into one coupled discrete-event
 //! simulation:
 //!
-//! - **One global clock.** A single calendar [`EventQueue`] carries the
+//! - **One global clock.** A single [`EventQueue`] carries the
 //!   load balancer's response deliveries and lazy per-node wake events,
 //!   and the pre-drawn client arrivals feed in from a cursor in the same
 //!   time order; nodes are stepped in global time order through
@@ -38,7 +38,9 @@
 use crate::params;
 use crate::report::{BreakdownReport, ConservationStats, RunReport};
 use crate::request::Slots;
-use crate::system::{ArrivalCursor, ArrivalProcess, BreakdownCollector, SimConfig, SystemSim};
+use crate::system::{
+    ArrivalCursor, ArrivalProcess, BreakdownCollector, NodeCompletion, SimConfig, SystemSim,
+};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::VecDeque;
@@ -233,7 +235,7 @@ struct LbRequest {
     gave_up: bool,
 }
 
-/// Cluster-level events on the global calendar queue (client arrivals
+/// Cluster-level events on the global event queue (client arrivals
 /// come from the [`ArrivalCursor`]).
 #[derive(Clone, Copy, Debug)]
 enum ClusterEvent {
@@ -255,6 +257,8 @@ pub struct ClusterSim {
     /// The fleet's client arrivals at the load balancer.
     arrivals: ArrivalCursor,
     nodes: Vec<SystemSim>,
+    /// One node's drained completions, reused across wakes.
+    done: Vec<NodeCompletion>,
     /// The rack fabric; endpoint `cfg.nodes` is the load balancer.
     fabric: ExternalNetwork,
     /// Requests in flight, by token; a token is recycled once its
@@ -359,6 +363,7 @@ impl ClusterSim {
         Self {
             events: EventQueue::new(),
             arrivals,
+            done: Vec::new(),
             fabric,
             records: Slots::new(),
             admitted: 0,
@@ -556,8 +561,9 @@ impl ClusterSim {
         }
         self.nodes[node].step();
         self.node_steps += 1;
-        let completions = self.nodes[node].drain_completions();
-        for c in completions {
+        let mut done = std::mem::take(&mut self.done);
+        done.extend(self.nodes[node].drain_completions());
+        for &c in &done {
             let jitter = self.sample_jitter();
             let lb = self.lb();
             let tr = self.fabric.send_traced_jittered(
@@ -574,6 +580,8 @@ impl ClusterSim {
             self.events
                 .schedule_at(tr.arrival, ClusterEvent::Response { token: c.token });
         }
+        done.clear();
+        self.done = done;
         self.wake(node);
     }
 

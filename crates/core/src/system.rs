@@ -680,8 +680,8 @@ impl SystemSim {
         };
 
         // Arrivals stay in their pre-drawn streams (the cursor feeds them
-        // in), so the queue holds only in-flight events; its pooled arena
-        // grows to that peak once and then recycles nodes.
+        // in), so the queue holds only in-flight events; its heap grows to
+        // that peak once.
         let mut events = EventQueue::new();
         let arrivals = ArrivalCursor::new(
             (0..cfg.servers)
@@ -809,9 +809,10 @@ impl SystemSim {
     }
 
     /// Finished injected requests since the last drain, in completion
-    /// order.
-    pub fn drain_completions(&mut self) -> Vec<NodeCompletion> {
-        std::mem::take(&mut self.completions)
+    /// order. The buffer keeps its capacity, so the next completion does
+    /// not allocate.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, NodeCompletion> {
+        self.completions.drain(..)
     }
 
     /// Delivers the next pending event: the next client arrival when it

@@ -60,8 +60,6 @@ pub struct MemoryPool {
     /// service id -> (snapshot bytes, LRU stamp)
     snapshots: BTreeMap<u32, (u64, u64)>,
     clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 /// Cold instance boot time without a snapshot (paper: "over 300 ms").
@@ -84,8 +82,6 @@ impl MemoryPool {
             used_bytes: 0,
             snapshots: BTreeMap::new(),
             clock: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -167,31 +163,17 @@ impl MemoryPool {
 
     /// Models the latency of booting a new instance of `service` at clock
     /// frequency `freq`: a snapshot restore when resident, a full cold boot
-    /// otherwise. Updates LRU and hit/miss statistics.
+    /// otherwise. Updates the LRU order.
     pub fn boot_latency(&mut self, service: u32, freq: Frequency) -> Cycles {
         self.clock += 1;
         match self.snapshots.get_mut(&service) {
             Some((bytes, stamp)) => {
                 *stamp = self.clock;
-                self.hits += 1;
                 let ms = RESTORE_BASE_MS + *bytes as f64 / POOL_BYTES_PER_MS;
                 Cycles::from_micros(ms * 1_000.0, freq)
             }
-            None => {
-                self.misses += 1;
-                Cycles::from_micros(COLD_BOOT_MS * 1_000.0, freq)
-            }
+            None => Cycles::from_micros(COLD_BOOT_MS * 1_000.0, freq),
         }
-    }
-
-    /// Snapshot-hit count.
-    pub fn hit_count(&self) -> u64 {
-        self.hits
-    }
-
-    /// Snapshot-miss (cold boot) count.
-    pub fn miss_count(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -212,7 +194,6 @@ mod tests {
             "warm boot {} ms",
             warm.as_millis(f)
         );
-        assert_eq!(p.hit_count(), 1);
     }
 
     #[test]
@@ -221,7 +202,6 @@ mod tests {
         let f = Frequency::ghz(2.0);
         let cold = p.boot_latency(9, f);
         assert!((cold.as_millis(f) - 300.0).abs() < 1.0);
-        assert_eq!(p.miss_count(), 1);
     }
 
     #[test]

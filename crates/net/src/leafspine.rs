@@ -65,16 +65,6 @@ impl LeafSpine {
         self.pods * (self.leaves_per_pod + self.spines_per_pod) + self.top_spines
     }
 
-    /// Number of equal-cost paths between two leaves in different pods.
-    pub fn cross_pod_paths(&self) -> usize {
-        self.spines_per_pod * self.top_spines * self.spines_per_pod
-    }
-
-    /// Number of equal-cost paths between two leaves in the same pod.
-    pub fn intra_pod_paths(&self) -> usize {
-        self.spines_per_pod
-    }
-
     /// Analytic hop count between two leaves: 0 to self, 2 within a pod,
     /// 4 across pods. Always equals `route(src, dst, ..).len()` for every
     /// chooser, since all equal-cost paths have the same length.
@@ -234,8 +224,6 @@ mod tests {
     fn paper_counts() {
         let t = LeafSpine::paper_default();
         assert_eq!(t.total_hubs(), 56);
-        assert_eq!(t.cross_pod_paths(), 4 * 8 * 4);
-        assert_eq!(t.intra_pod_paths(), 4);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! - [`Cycles`]: a typed cycle count with saturating arithmetic and
 //!   wall-clock conversions at a given core frequency.
 //! - [`EventQueue`]: a monotonic future-event list with deterministic FIFO
-//!   tie-breaking, generic over the event payload type. Implemented as an
-//!   arena-pooled hierarchical calendar queue (timing wheel + sorted
-//!   overflow level) with next-event time skipping, so the steady-state
-//!   schedule/pop loop is O(1) and allocation-free.
+//!   tie-breaking, generic over the event payload type. Implemented as a
+//!   binary heap ordered by `(time, seq)`: a run's queue holds only its
+//!   in-flight events (hundreds at most), where a heap is the least code
+//!   and as fast as anything.
 //! - [`rng`]: reproducible per-component random streams split from one master
 //!   seed, so every experiment is bit-reproducible.
 //! - [`trace`]: per-request latency provenance — a component taxonomy and

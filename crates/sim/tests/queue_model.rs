@@ -1,12 +1,12 @@
-//! Differential test: the calendar-queue `EventQueue` against the
-//! reference `BinaryHeap` model it replaced.
+//! Differential test: `EventQueue` against a reference `BinaryHeap`
+//! model of its delivery contract.
 //!
 //! The queue's `(time, seq)` FIFO delivery contract is load-bearing for
 //! every determinism test and committed result in the repo, so the two
-//! implementations are driven through arbitrary interleaved
-//! schedule/pop/clear sequences — same-cycle FIFO bursts, short hops,
-//! wheel-level jumps, and far-future overflow-level times included — and
-//! must produce identical `(time, seq, event)` streams at every step.
+//! implementations are driven through arbitrary interleaved schedule/pop
+//! sequences — same-cycle FIFO bursts, short hops, long jumps, and times
+//! out to `u64::MAX` included — and must produce identical
+//! `(time, seq, event)` streams at every step.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -15,9 +15,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use um_sim::{Cycles, EventQueue};
 
-/// The pre-calendar future-event list: a `BinaryHeap` ordered by
-/// `(time, seq)`, sharing `EventQueue`'s delivery contract. It is the
-/// model every test in this file checks the calendar queue against.
+/// The reference future-event list: a `BinaryHeap` ordered by
+/// `(time, seq)`, spelling out `EventQueue`'s delivery contract. It is the
+/// model every test in this file checks `EventQueue` against.
 #[derive(Clone, Debug)]
 struct HeapQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -101,13 +101,6 @@ impl<E> HeapQueue<E> {
     fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops all pending events and resets the sequence counter,
-    /// keeping the clock (mirrors `EventQueue::clear`).
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
-    }
 }
 
 #[test]
@@ -134,13 +127,10 @@ enum Op {
     Burst(u64, u8),
     /// Pop one event and compare the delivery.
     Pop,
-    /// Drop all pending events (and, post-fix, the tie-break counter).
-    Clear,
 }
 
-/// Deltas spanning every storage tier of the calendar queue: the current
-/// level-0 window, mid-wheel levels, the wheel horizon boundary, and the
-/// sorted overflow level (beyond 2^36 cycles), up to `u64::MAX`.
+/// Deltas from same-cycle to far-future: short hops, mid-range jumps, a
+/// band around 2^36 cycles, and the top of the clock up to `u64::MAX`.
 fn delta_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
         0u64..64,
@@ -171,7 +161,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
-        Just(Op::Clear),
     ]
 }
 
@@ -181,13 +170,13 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The calendar queue and the reference heap deliver identical
+    /// `EventQueue` and the reference heap deliver identical
     /// `(time, event)` streams (with `event` carrying the schedule index,
     /// so seq-order divergence is visible) under arbitrary interleaved
-    /// schedule/pop/clear sequences.
+    /// schedule/pop sequences.
     #[test]
     fn calendar_queue_matches_heap_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut calendar: EventQueue<u64> = EventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapQueue<u64> = HeapQueue::new();
         let mut next_id = 0u64;
         for op in &ops {
@@ -197,37 +186,33 @@ proptest! {
                     // time is shared. Saturate instead of overflowing:
                     // schedule-past-MAX is the loud-panic path, tested
                     // separately.
-                    let at = Cycles::new(calendar.now().raw().saturating_add(delta));
-                    calendar.schedule_at(at, next_id);
+                    let at = Cycles::new(queue.now().raw().saturating_add(delta));
+                    queue.schedule_at(at, next_id);
                     heap.schedule_at(at, next_id);
                     next_id += 1;
                 }
                 Op::Burst(delta, n) => {
-                    let at = Cycles::new(calendar.now().raw().saturating_add(delta));
+                    let at = Cycles::new(queue.now().raw().saturating_add(delta));
                     for _ in 0..n {
-                        calendar.schedule_at(at, next_id);
+                        queue.schedule_at(at, next_id);
                         heap.schedule_at(at, next_id);
                         next_id += 1;
                     }
                 }
                 Op::Pop => {
-                    prop_assert_eq!(calendar.peek_time(), heap.peek_time());
-                    prop_assert_eq!(calendar.pop(), heap.pop());
-                    prop_assert_eq!(calendar.now(), heap.now());
-                }
-                Op::Clear => {
-                    calendar.clear();
-                    heap.clear();
+                    prop_assert_eq!(queue.peek_time(), heap.peek_time());
+                    prop_assert_eq!(queue.pop(), heap.pop());
+                    prop_assert_eq!(queue.now(), heap.now());
                 }
             }
-            prop_assert_eq!(calendar.len(), heap.len());
-            prop_assert_eq!(calendar.is_empty(), heap.is_empty());
+            prop_assert_eq!(queue.len(), heap.len());
+            prop_assert_eq!(queue.is_empty(), heap.is_empty());
         }
         // Drain both completely: every pending event must come out in the
         // same order.
         loop {
-            prop_assert_eq!(calendar.peek_time(), heap.peek_time());
-            let (a, b) = (calendar.pop(), heap.pop());
+            prop_assert_eq!(queue.peek_time(), heap.peek_time());
+            let (a, b) = (queue.pop(), heap.pop());
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -236,15 +221,14 @@ proptest! {
     }
 }
 
-/// One seeded delta spanning the calendar's storage tiers, with the
-/// band around the 36-bit wheel horizon heavily represented so the
-/// wheel/overflow boundary is crossed in both directions.
+/// One seeded delta from same-cycle to 2^40 cycles, with the band around
+/// 2^36 heavily represented so the population's times straddle it.
 fn stress_delta(rng: &mut SmallRng) -> u64 {
     match rng.gen_range(0..8) {
         0 | 1 => rng.gen_range(0..64),
         2 | 3 => rng.gen_range(0..1u64 << 18),
         4 => rng.gen_range(0..1u64 << 30),
-        // Straddle the wheel horizon: half a window below to half above.
+        // Straddle 2^36: half a window below to half above.
         5 | 6 => (1u64 << 36) - 4_096 + rng.gen_range(0..8_192),
         _ => rng.gen_range(1u64 << 36..1u64 << 40),
     }
@@ -253,61 +237,58 @@ fn stress_delta(rng: &mut SmallRng) -> u64 {
 /// Million-event differential: a live population far beyond what the
 /// proptest above reaches, or any simulator run holds (external arrivals
 /// wait in a cursor, not the queue). Build a ~2^20-event population whose
-/// times straddle the 2^36 wheel horizon, churn it through a pop/schedule
-/// cycle that walks the wheel base across the horizon (cascading the
-/// sorted overflow level back into the wheel), then drain — the calendar
-/// must match the reference heap at every delivery.
+/// times straddle 2^36 cycles, churn it through a pop/schedule cycle that
+/// walks the clock forward, then drain — `EventQueue` must match the
+/// reference heap at every delivery.
 #[test]
 fn cluster_scale_population_straddles_the_wheel_horizon() {
     const LIVE: usize = 1 << 20;
     const CHURN: usize = 200_000;
     let mut rng = SmallRng::seed_from_u64(0x36);
-    let mut calendar: EventQueue<u64> = EventQueue::with_capacity(LIVE + CHURN);
+    let mut queue: EventQueue<u64> = EventQueue::with_capacity(LIVE + CHURN);
     let mut heap: HeapQueue<u64> = HeapQueue::new();
     let mut next_id = 0u64;
     for _ in 0..LIVE {
-        let at = Cycles::new(calendar.now().raw().saturating_add(stress_delta(&mut rng)));
-        calendar.schedule_at(at, next_id);
+        let at = Cycles::new(queue.now().raw().saturating_add(stress_delta(&mut rng)));
+        queue.schedule_at(at, next_id);
         heap.schedule_at(at, next_id);
         next_id += 1;
     }
-    assert_eq!(calendar.len(), LIVE);
+    assert_eq!(queue.len(), LIVE);
     // Churn at full population: every pop advances the shared clock, so
-    // later schedules land relative to a base that crosses the horizon.
+    // later schedules land relative to a moving now.
     for _ in 0..CHURN {
-        assert_eq!(calendar.peek_time(), heap.peek_time());
-        let (a, b) = (calendar.pop(), heap.pop());
+        assert_eq!(queue.peek_time(), heap.peek_time());
+        let (a, b) = (queue.pop(), heap.pop());
         assert_eq!(a, b);
-        let at = Cycles::new(calendar.now().raw().saturating_add(stress_delta(&mut rng)));
-        calendar.schedule_at(at, next_id);
+        let at = Cycles::new(queue.now().raw().saturating_add(stress_delta(&mut rng)));
+        queue.schedule_at(at, next_id);
         heap.schedule_at(at, next_id);
         next_id += 1;
     }
-    assert_eq!(calendar.len(), LIVE);
+    assert_eq!(queue.len(), LIVE);
     loop {
-        assert_eq!(calendar.peek_time(), heap.peek_time());
-        let (a, b) = (calendar.pop(), heap.pop());
+        assert_eq!(queue.peek_time(), heap.peek_time());
+        let (a, b) = (queue.pop(), heap.pop());
         assert_eq!(a, b);
         if a.is_none() {
             break;
         }
     }
-    // The drain carried the wheel base across the 2^36 horizon (the
-    // overflow tiers guarantee events out there), so the overflow level
-    // cascaded back into the wheel along the way.
+    // The drain carried the clock past 2^36 (the far tiers of
+    // `stress_delta` guarantee events out there).
     assert!(
-        calendar.now().raw() > 1 << 36,
-        "the drain walked the clock past the wheel horizon: now={}",
-        calendar.now()
+        queue.now().raw() > 1 << 36,
+        "the drain walked the clock past 2^36: now={}",
+        queue.now()
     );
 }
 
-/// The underflow list (events injected behind the wheel base, reachable
-/// only through the sanitizer-facing `schedule_at_unchecked`) under a
-/// million-event live population: injected causality breaks must drain
-/// first, in `(time, seq)` order, before any of the million in-order
-/// events — exactly the heap-minimal order the `BinaryHeap`
-/// implementation gave them. The reference here is a sorted-vector
+/// Events injected behind the clock (reachable only through the
+/// sanitizer-facing `schedule_at_unchecked`) under a million-event live
+/// population: injected causality breaks must drain first, in
+/// `(time, seq)` order, before any of the million in-order events,
+/// because they are heap-minimal. The reference here is a sorted-vector
 /// model, since `HeapQueue` has no unchecked schedule path.
 #[cfg(feature = "sim-sanitizer")]
 #[test]
@@ -316,13 +297,13 @@ fn underflow_list_drains_first_under_cluster_scale_population() {
     const BREAKS: usize = 4_096;
     let mut rng = SmallRng::seed_from_u64(0x1197);
     let mut q: EventQueue<u64> = EventQueue::with_capacity(LIVE + BREAKS);
-    // March the clock past the wheel horizon so there is a deep "past"
-    // for the injected breaks to land in.
+    // March the clock past 2^36 so there is a deep "past" for the
+    // injected breaks to land in.
     q.schedule_at(Cycles::new((1 << 36) + 12_345), u64::MAX);
     assert_eq!(q.pop(), Some((Cycles::new((1 << 36) + 12_345), u64::MAX)));
     let base = q.now().raw();
     let mut next_id = 0u64;
-    // The in-order population: wheel and overflow tiers ahead of now.
+    // The in-order population, ahead of now.
     let mut future: Vec<(u64, u64)> = Vec::with_capacity(LIVE);
     for _ in 0..LIVE {
         let at = base + stress_delta(&mut rng);
@@ -330,8 +311,8 @@ fn underflow_list_drains_first_under_cluster_scale_population() {
         future.push((at, next_id));
         next_id += 1;
     }
-    // The causality breaks: behind the base, duplicates included so the
-    // FIFO tie-break is exercised inside the underflow list too.
+    // The causality breaks: behind the clock, duplicates included so the
+    // FIFO tie-break is exercised among them too.
     let mut breaks: Vec<(u64, u64)> = Vec::with_capacity(BREAKS);
     for _ in 0..BREAKS {
         let at = rng.gen_range(0..base);

@@ -60,15 +60,6 @@ impl Summary {
             self.p99 / other.p99
         }
     }
-
-    /// Ratio of this summary's mean to `other`'s mean; 0.0 when undefined.
-    pub fn mean_ratio_vs(&self, other: &Summary) -> f64 {
-        if other.mean == 0.0 {
-            0.0
-        } else {
-            self.mean / other.mean
-        }
-    }
 }
 
 impl Default for Summary {
@@ -153,7 +144,6 @@ mod tests {
         let f = Summary::of(&fast);
         let sl = Summary::of(&slow);
         assert!((sl.tail_ratio_vs(&f) - 10.0).abs() < 1e-12);
-        assert!((sl.mean_ratio_vs(&f) - 10.0).abs() < 1e-12);
         assert_eq!(f.tail_ratio_vs(&Summary::default()), 0.0);
     }
 

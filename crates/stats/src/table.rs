@@ -61,11 +61,6 @@ impl Table {
         self
     }
 
-    /// Appends a row of display-formatted cells.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -166,13 +161,6 @@ mod tests {
     #[should_panic(expected = "at least one column")]
     fn empty_header_rejected() {
         let _ = Table::new(vec![]);
-    }
-
-    #[test]
-    fn row_display_formats() {
-        let mut t = Table::with_columns(&["x", "y"]);
-        t.row_display(&[1.5, 2.5]);
-        assert!(t.render().contains("1.5"));
     }
 
     #[test]

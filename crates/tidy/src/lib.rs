@@ -182,9 +182,9 @@ impl Rule {
                  FaultPlan::builder(seed) so sweeps stay derive_seed-reproducible"
             }
             Rule::RawBinaryHeap => {
-                "BinaryHeap pop order is O(log n) per event and its internal layout is not the \
-                 simulator's delivery contract; future-event state goes through um_sim::EventQueue \
-                 (the pooled calendar queue)"
+                "a raw BinaryHeap's pop order among equal keys is not the simulator's delivery \
+                 contract; future-event state goes through um_sim::EventQueue, whose \
+                 (time, seq) heap is the one exempt use"
             }
             Rule::DebugMacro => "dbg!/todo!/unimplemented! must not reach non-test code",
             Rule::IgnoreWithoutReason => "#[ignore] needs a reason string: #[ignore = \"why\"]",
@@ -231,9 +231,7 @@ impl Rule {
             Rule::CycleTruncCast => "`as u32`/`as usize`/… on cycle/latency values",
             Rule::CycleFloatCmp => "`==`/`!=` on float cycle/latency values",
             Rule::RawFaultPlan => "`FaultPlan::from_events` (bypasses the seeded builder)",
-            Rule::RawBinaryHeap => {
-                "`BinaryHeap` for sim state (bypasses the pooled calendar queue)"
-            }
+            Rule::RawBinaryHeap => "`BinaryHeap` for sim state (bypasses `um_sim::EventQueue`)",
             Rule::DebugMacro => "`dbg!`, `todo!`, `unimplemented!`",
             Rule::IgnoreWithoutReason => "bare `#[ignore]`",
             Rule::UnsafeWithoutSafety => "`unsafe` without a `// SAFETY:` comment",
@@ -263,7 +261,7 @@ impl Rule {
             Rule::CycleTruncCast => "non-test code",
             Rule::CycleFloatCmp => "non-test code",
             Rule::RawFaultPlan => "outside `um-sim`, non-test code",
-            Rule::RawBinaryHeap => "sim-state crates, non-test code",
+            Rule::RawBinaryHeap => "sim-state crates except `um-sim`'s `queue.rs`, non-test code",
             Rule::DebugMacro => "non-test code",
             Rule::IgnoreWithoutReason => "everywhere",
             Rule::UnsafeWithoutSafety => "everywhere",
@@ -352,6 +350,8 @@ struct FileContext {
     krate: Option<String>,
     /// The whole file is test code (under a `tests/` directory).
     test_file: bool,
+    /// The file is `crates/sim/src/queue.rs`, home of `um_sim::EventQueue`.
+    event_queue: bool,
 }
 
 impl FileContext {
@@ -362,7 +362,12 @@ impl FileContext {
             .and_then(|rest| rest.split('/').next())
             .map(str::to_owned);
         let test_file = norm.starts_with("tests/") || norm.contains("/tests/");
-        Self { krate, test_file }
+        let event_queue = norm == "crates/sim/src/queue.rs";
+        Self {
+            krate,
+            test_file,
+            event_queue,
+        }
     }
 
     /// Sim-state crates: every workspace member under `crates/` except the
@@ -384,6 +389,12 @@ impl FileContext {
     /// own tests) and this crate.
     fn bans_raw_fault_plan(&self) -> bool {
         !matches!(&self.krate, Some(k) if k == "sim" || k == "tidy")
+    }
+
+    /// Raw `BinaryHeap`s are banned in sim-state crates except in the one
+    /// file that implements `EventQueue` on top of one.
+    fn bans_raw_binary_heap(&self) -> bool {
+        self.is_sim_state_crate() && !self.event_queue
     }
 
     /// Float accumulation is banned in sim-state crates except `um-stats`,
@@ -683,10 +694,10 @@ fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
         }
 
         // -- event-queue provenance -------------------------------------
-        // The calendar queue in crates/sim/src/queue.rs is the one
-        // future-event structure; its BinaryHeap reference model lives in
-        // the sim crate's tests.
-        if ctx.is_sim_state_crate() && !in_test && contains_word(cleaned, "BinaryHeap") {
+        // The (time, seq) heap in crates/sim/src/queue.rs is the one
+        // future-event structure; its reference model lives in the sim
+        // crate's tests.
+        if ctx.bans_raw_binary_heap() && !in_test && contains_word(cleaned, "BinaryHeap") {
             firings.push((
                 Rule::RawBinaryHeap,
                 "raw BinaryHeap for sim state: time-ordered event state must go through \
@@ -1264,14 +1275,19 @@ mod tests {
         for path in [
             "crates/core/src/x.rs",
             "crates/sim/src/fault.rs",
-            "crates/sim/src/queue.rs",
+            "crates/sim/src/trace.rs",
         ] {
             assert_eq!(check_source(path, src)[0].rule, Rule::RawBinaryHeap);
         }
-        // The differential tests model the calendar queue with a heap;
-        // um-bench is outside the sim-state fence.
-        assert!(check_source("crates/sim/tests/queue_model.rs", src).is_empty());
-        assert!(check_source("crates/bench/src/engine.rs", src).is_empty());
+        // EventQueue's own file is built on the heap; the differential
+        // tests model it with one; um-bench is outside the sim-state fence.
+        for path in [
+            "crates/sim/src/queue.rs",
+            "crates/sim/tests/queue_model.rs",
+            "crates/bench/src/engine.rs",
+        ] {
+            assert!(check_source(path, src).is_empty());
+        }
     }
 
     #[test]
