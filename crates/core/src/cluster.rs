@@ -9,8 +9,10 @@
 //! - **One global clock.** A single [`EventQueue`] carries the
 //!   load balancer's response deliveries and lazy per-node wake events,
 //!   and the pre-drawn client arrivals feed in from a cursor in the same
-//!   time order; nodes are stepped in global time order through
-//!   [`SystemSim::step`], so the whole rack advances on one cycle base.
+//!   time order. A node may be stepped ahead through [`SystemSim::step`]
+//!   up to the next arrival that could be routed to it; its steps are
+//!   replayed in global time order, one wake each, so the whole rack
+//!   advances on one cycle base.
 //! - **Rack fabric.** An [`ExternalNetwork`] with the load balancer as an
 //!   extra endpoint models the LB↔node legs: per-endpoint NIC egress
 //!   queues, fixed propagation, and optional per-message jitter sampled
@@ -38,9 +40,7 @@
 use crate::params;
 use crate::report::{BreakdownReport, ConservationStats, RunReport};
 use crate::request::Slots;
-use crate::system::{
-    ArrivalCursor, ArrivalProcess, BreakdownCollector, NodeCompletion, SimConfig, SystemSim,
-};
+use crate::system::{ArrivalCursor, ArrivalProcess, BreakdownCollector, SimConfig, SystemSim};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::VecDeque;
@@ -239,14 +239,148 @@ struct LbRequest {
 /// come from the [`ArrivalCursor`]).
 #[derive(Clone, Copy, Debug)]
 enum ClusterEvent {
-    /// A node may have an internal event due now: step it once. Stale
-    /// wakes (the node's next event moved) are skipped; the wake for the
-    /// true next time is always on the calendar.
+    /// A node may have an internal event due now: replay its next step.
+    /// Stale wakes (the node's next event moved) are skipped; the wake
+    /// for the true next time is always on the calendar.
     NodeWake { node: usize },
     /// A node's response reaches the load balancer.
     Response { token: u64 },
     /// A standby node finishes booting and joins the active set.
     NodeUp { node: usize },
+}
+
+/// Package steps a node runs ahead of the rack clock at most, per batch:
+/// bounds a step log's memory.
+const RUN_AHEAD_STEPS: usize = 64;
+
+/// Candidate sets drawn ahead, per node: the window holds this many
+/// unrouted arrivals per node in the rack.
+const LOOKAHEAD_PER_NODE: usize = 4;
+
+/// The load balancer's candidate draws: the nodes one routing decision
+/// may pick from, before it reads their load.
+struct Router {
+    policy: RoutingPolicy,
+    rng: SmallRng,
+    /// Round-robin cursor.
+    rr_next: usize,
+    /// The nodes eligible for the decision being drawn, ascending.
+    eligible: Vec<usize>,
+    /// The identity permutation of `0..nodes` between draws: JSQ(d)'s
+    /// partial Fisher–Yates shuffles positions of `eligible` in it.
+    pool: Vec<usize>,
+}
+
+impl Router {
+    /// Appends one decision's candidates over `eligible` (non-empty) to
+    /// `out`: one node for random and round-robin, `min(d, eligible)`
+    /// distinct nodes for JSQ(d), every eligible node for the central
+    /// queue.
+    fn draw(&mut self, active: usize, out: &mut impl Extend<usize>) {
+        let eligible = &self.eligible;
+        match self.policy {
+            RoutingPolicy::Random => {
+                out.extend([eligible[self.rng.gen_range(0..eligible.len())]]);
+            }
+            RoutingPolicy::RoundRobin => {
+                // Next eligible node at or after the cursor, cyclically.
+                let next = eligible.partition_point(|&n| n < self.rr_next);
+                let pick = eligible.get(next).copied().unwrap_or(eligible[0]);
+                self.rr_next = (pick + 1) % active.max(1);
+                out.extend([pick]);
+            }
+            RoutingPolicy::JsqD { d } => {
+                assert!(d >= 1, "JSQ(d) needs d >= 1");
+                let k = d.min(eligible.len());
+                for i in 0..k {
+                    let j = self.rng.gen_range(i..eligible.len());
+                    self.pool.swap(i, j);
+                    out.extend([eligible[self.pool[i]]]);
+                }
+                // Restore the identity. Only positions `0..k` and those
+                // whose own value was drawn (values leave a position at
+                // or past `k` only for the prefix) moved.
+                for i in 0..k {
+                    let v = self.pool[i];
+                    if v >= k {
+                        self.pool[v] = v;
+                    }
+                }
+                for (i, slot) in self.pool[..k].iter_mut().enumerate() {
+                    *slot = i;
+                }
+            }
+            RoutingPolicy::CentralQueue => out.extend(eligible.iter().copied()),
+        }
+    }
+}
+
+/// Candidate sets drawn ahead of the arrivals they route. Used only when
+/// the draw cannot depend on rack state (every node eligible, no cap, no
+/// autoscale, no steering), so drawing early consumes the routing stream
+/// in the same order.
+struct Lookahead {
+    /// Nodes per candidate set.
+    k: usize,
+    /// Index of the next arrival to draw.
+    drawn: usize,
+    /// Candidate sets of the drawn, unrouted arrivals, `k` nodes each,
+    /// oldest first.
+    sets: VecDeque<usize>,
+    /// Per node, the times of the drawn, unrouted arrivals naming it,
+    /// oldest first.
+    named: Vec<VecDeque<Cycles>>,
+}
+
+impl Lookahead {
+    /// Draws candidate sets for the arrivals after the last drawn one
+    /// until the window is full or `times` runs out.
+    fn top_up(&mut self, router: &mut Router, times: &[Cycles]) {
+        let window = LOOKAHEAD_PER_NODE * self.named.len() * self.k;
+        while self.sets.len() < window {
+            let Some(&at) = times.get(self.drawn) else {
+                return;
+            };
+            self.drawn += 1;
+            let start = self.sets.len();
+            // Every node is active in a rack that draws ahead.
+            router.draw(self.named.len(), &mut self.sets);
+            for &n in self.sets.range(start..) {
+                self.named[n].push_back(at);
+            }
+        }
+    }
+
+    /// Moves the oldest drawn set, the next arrival's, into `out`.
+    fn pop(&mut self, out: &mut Vec<usize>) {
+        for n in self.sets.drain(..self.k) {
+            self.named[n].pop_front();
+            out.push(n);
+        }
+    }
+
+    /// The earliest time an unrouted arrival could be routed to `node`:
+    /// its first naming in the window, else the first arrival not drawn.
+    fn horizon(&self, node: usize, times: &[Cycles]) -> Cycles {
+        self.named[node]
+            .front()
+            .or_else(|| times.get(self.drawn))
+            .copied()
+            .unwrap_or(Cycles::MAX)
+    }
+}
+
+/// Steps a node has taken ahead of the rack clock, each replayed by one
+/// wake at its time.
+#[derive(Default)]
+struct StepLog {
+    /// Each logged step's time and the number of completions it made,
+    /// oldest first.
+    steps: VecDeque<(Cycles, usize)>,
+    /// The logged steps' completions, `(token, finished_at)`, in order.
+    /// Their breakdowns go straight to the LB records, which nothing
+    /// reads before the response arrives.
+    done: VecDeque<(u64, Cycles)>,
 }
 
 /// The rack simulator. Construct with [`ClusterSim::new`], run with
@@ -257,8 +391,8 @@ pub struct ClusterSim {
     /// The fleet's client arrivals at the load balancer.
     arrivals: ArrivalCursor,
     nodes: Vec<SystemSim>,
-    /// One node's drained completions, reused across wakes.
-    done: Vec<NodeCompletion>,
+    /// Each node's steps not yet replayed.
+    logs: Vec<StepLog>,
     /// The rack fabric; endpoint `cfg.nodes` is the load balancer.
     fabric: ExternalNetwork,
     /// Requests in flight, by token; a token is recycled once its
@@ -269,15 +403,19 @@ pub struct ClusterSim {
     /// Admission-queue FIFO of tokens waiting for a node slot.
     lb_queue: VecDeque<u64>,
     in_flight: Vec<u64>,
+    /// Sum of `in_flight`.
+    in_flight_total: u64,
     dispatched: Vec<u64>,
     /// Nodes `0..active` serve traffic; the rest are standby.
     active: usize,
     /// Whether a standby boot is in flight (one at a time).
     booting: bool,
     boots: u64,
-    /// Round-robin cursor.
-    rr_next: usize,
-    route_rng: SmallRng,
+    router: Router,
+    /// Candidate sets drawn ahead; `None` draws each at its decision.
+    lookahead: Option<Lookahead>,
+    /// One decision's candidates, reused.
+    candidates: Vec<usize>,
     jitter_rng: SmallRng,
     warmup: Cycles,
     // Statistics.
@@ -360,21 +498,46 @@ impl ClusterSim {
             .map(|t| Cycles::from_micros(t, freq))
             .collect()]);
 
+        // When no draw reads rack state, every candidate set can be drawn
+        // ahead, and a node steps ahead to the first arrival naming it.
+        let steering = cfg.steer && !cfg.fault_plan.is_empty();
+        let lookahead = (cfg.routing != RoutingPolicy::CentralQueue
+            && cfg.max_in_flight.is_none()
+            && cfg.autoscale.is_none()
+            && !steering)
+            .then(|| Lookahead {
+                k: match cfg.routing {
+                    RoutingPolicy::JsqD { d } => d.min(cfg.nodes),
+                    _ => 1,
+                },
+                drawn: 0,
+                sets: VecDeque::new(),
+                named: (0..cfg.nodes).map(|_| VecDeque::new()).collect(),
+            });
+
         Self {
             events: EventQueue::new(),
             arrivals,
-            done: Vec::new(),
+            logs: (0..cfg.nodes).map(|_| StepLog::default()).collect(),
             fabric,
             records: Slots::new(),
             admitted: 0,
             lb_queue: VecDeque::new(),
             in_flight: vec![0; cfg.nodes],
+            in_flight_total: 0,
             dispatched: vec![0; cfg.nodes],
             active,
             booting: false,
             boots: 0,
-            rr_next: 0,
-            route_rng: simrng::stream(cfg.seed, "cluster-routing"),
+            router: Router {
+                policy: cfg.routing,
+                rng: simrng::stream(cfg.seed, "cluster-routing"),
+                rr_next: 0,
+                eligible: (0..cfg.nodes).collect(),
+                pool: (0..cfg.nodes).collect(),
+            },
+            lookahead,
+            candidates: Vec::new(),
             jitter_rng: simrng::stream(cfg.seed, "cluster-jitter"),
             warmup: Cycles::from_micros(cfg.warmup_us, freq),
             latency: Samples::new(),
@@ -468,61 +631,35 @@ impl ClusterSim {
     /// "random routing with per-node admission" means.
     fn route(&mut self, now: Cycles, require_slot: bool) -> Option<usize> {
         let cap = self.cfg.max_in_flight.map_or(u64::MAX, |c| c as u64);
-        // Steering engages only when a fault plan exists (healthy runs
-        // must not depend on the steer flag), and never empties the
-        // candidate set.
-        let steer = self.cfg.steer && !self.cfg.fault_plan.is_empty();
-        let eligible: Vec<usize> = {
-            let degraded = |n: usize| steer && self.cfg.fault_plan.is_degraded_server(n, now);
-            let healthy: Vec<usize> = (0..self.active)
-                .filter(|&n| !degraded(n) && (!require_slot || self.in_flight[n] < cap))
-                .collect();
-            if healthy.is_empty() {
-                (0..self.active)
-                    .filter(|&n| !require_slot || self.in_flight[n] < cap)
-                    .collect()
-            } else {
-                healthy
+        self.candidates.clear();
+        if let Some(ahead) = &mut self.lookahead {
+            ahead.top_up(&mut self.router, self.arrivals.stream(0));
+            ahead.pop(&mut self.candidates);
+        } else {
+            // Steering engages only when a fault plan exists (healthy runs
+            // must not depend on the steer flag), and never empties the
+            // candidate set.
+            let steer = self.cfg.steer && !self.cfg.fault_plan.is_empty();
+            let open = |n: usize| !require_slot || self.in_flight[n] < cap;
+            let eligible = &mut self.router.eligible;
+            eligible.clear();
+            eligible.extend((0..self.active).filter(|&n| {
+                open(n) && !(steer && self.cfg.fault_plan.is_degraded_server(n, now))
+            }));
+            if eligible.is_empty() {
+                eligible.extend((0..self.active).filter(|&n| open(n)));
             }
-        };
-        if eligible.is_empty() {
-            return None;
+            if eligible.is_empty() {
+                return None;
+            }
+            self.router.draw(self.active, &mut self.candidates);
         }
-        let pick = match self.cfg.routing {
-            RoutingPolicy::Random => eligible[self.route_rng.gen_range(0..eligible.len())],
-            RoutingPolicy::RoundRobin => {
-                // Next eligible node at or after the cursor, cyclically.
-                let pick = eligible
-                    .iter()
-                    .copied()
-                    .find(|&n| n >= self.rr_next)
-                    .unwrap_or(eligible[0]);
-                self.rr_next = (pick + 1) % self.active.max(1);
-                pick
-            }
-            RoutingPolicy::JsqD { d } => {
-                assert!(d >= 1, "JSQ(d) needs d >= 1");
-                // Sample min(d, |eligible|) distinct candidates with a
-                // partial Fisher-Yates over the eligible list.
-                let mut pool = eligible.clone();
-                let k = d.min(pool.len());
-                let mut best: Option<(u64, usize)> = None;
-                for i in 0..k {
-                    let j = self.route_rng.gen_range(i..pool.len());
-                    pool.swap(i, j);
-                    let n = pool[i];
-                    let key = (self.in_flight[n], n);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-                best.expect("k >= 1").1
-            }
-            RoutingPolicy::CentralQueue => eligible
-                .into_iter()
-                .min_by_key(|&n| (self.in_flight[n], n))
-                .expect("nonempty"),
-        };
+        let pick = self
+            .candidates
+            .iter()
+            .copied()
+            .min_by_key(|&n| (self.in_flight[n], n))
+            .expect("a candidate set is never empty");
         if !require_slot && self.in_flight[pick] >= cap {
             return None;
         }
@@ -540,49 +677,88 @@ impl ClusterSim {
         // LB queue wait (now - sent_at) plus the full request leg.
         rec.hop_req = tr.arrival - rec.sent_at;
         self.in_flight[node] += 1;
+        self.in_flight_total += 1;
         self.dispatched[node] += 1;
         self.nodes[node].inject_arrival(tr.arrival, 0, token);
         self.wake(node);
     }
 
-    /// Schedules a wake at the node's next internal event time. Called
+    /// Schedules a wake at the node's next step on the rack clock. Called
     /// after every operation that can change that time, so the calendar
     /// always holds a wake at exactly the node's true next event (plus
     /// possibly stale earlier ones, which `on_node_wake` skips).
     fn wake(&mut self, node: usize) {
-        if let Some(t) = self.nodes[node].next_event_time() {
+        if let Some(t) = self.next_step(node) {
             self.events.schedule_at(t, ClusterEvent::NodeWake { node });
         }
     }
 
+    /// The node's next step on the rack clock: its first logged step, or
+    /// its next event when nothing is logged.
+    fn next_step(&self, node: usize) -> Option<Cycles> {
+        match self.logs[node].steps.front() {
+            Some(&(at, _)) => Some(at),
+            None => self.nodes[node].next_event_time(),
+        }
+    }
+
     fn on_node_wake(&mut self, node: usize, now: Cycles) {
-        if self.nodes[node].next_event_time() != Some(now) {
+        if self.next_step(node) != Some(now) {
             return; // Stale: the node's next event moved; its wake exists.
         }
-        self.nodes[node].step();
+        if self.logs[node].steps.is_empty() {
+            self.run_ahead(node, now);
+        }
+        let (at, completions) = self.logs[node].steps.pop_front().expect("a logged step");
+        debug_assert_eq!(at, now, "steps replay at their own time");
         self.node_steps += 1;
-        let mut done = std::mem::take(&mut self.done);
-        done.extend(self.nodes[node].drain_completions());
-        for &c in &done {
+        for _ in 0..completions {
+            let (token, finished_at) = self.logs[node]
+                .done
+                .pop_front()
+                .expect("a logged completion");
             let jitter = self.sample_jitter();
             let lb = self.lb();
             let tr = self.fabric.send_traced_jittered(
                 node,
                 lb,
                 self.cfg.net.response_bytes,
-                c.finished_at,
+                finished_at,
                 jitter,
             );
-            let rec = &mut self.records[c.token as usize];
-            rec.hop_resp = tr.arrival - c.finished_at;
-            rec.node_bd = c.breakdown;
-            rec.gave_up = c.gave_up;
+            self.records[token as usize].hop_resp = tr.arrival - finished_at;
             self.events
-                .schedule_at(tr.arrival, ClusterEvent::Response { token: c.token });
+                .schedule_at(tr.arrival, ClusterEvent::Response { token });
         }
-        done.clear();
-        self.done = done;
         self.wake(node);
+    }
+
+    /// Steps the node from its event due `now` while its next event comes
+    /// strictly before the earliest arrival that could still be routed to
+    /// it (at most [`RUN_AHEAD_STEPS`] steps), logging each step. Nothing
+    /// but an injected arrival changes a package's course, so these are
+    /// the steps it would take stepped one wake at a time. Without a
+    /// lookahead window the bound is `now`: exactly the one due step.
+    fn run_ahead(&mut self, node: usize, now: Cycles) {
+        let horizon = match &self.lookahead {
+            Some(ahead) => ahead.horizon(node, self.arrivals.stream(0)),
+            None => now,
+        };
+        let (sim, log) = (&mut self.nodes[node], &mut self.logs[node]);
+        while let Some(at) = sim.next_event_time() {
+            if !log.steps.is_empty() && (at >= horizon || log.steps.len() == RUN_AHEAD_STEPS) {
+                break;
+            }
+            sim.step();
+            let before = log.done.len();
+            for c in sim.drain_completions() {
+                let rec = &mut self.records[c.token as usize];
+                rec.node_bd = c.breakdown;
+                rec.gave_up = c.gave_up;
+                log.done.push_back((c.token, c.finished_at));
+            }
+            log.steps.push_back((at, log.done.len() - before));
+        }
     }
 
     fn on_response(&mut self, token: u64, now: Cycles) {
@@ -590,6 +766,7 @@ impl ClusterSim {
         self.records.release(token as usize);
         let node = rec.node.expect("response implies dispatch");
         self.in_flight[node] -= 1;
+        self.in_flight_total -= 1;
         self.completed += 1;
 
         // Fleet end-to-end: LB wait + request leg + in-package lifetime +
@@ -644,7 +821,7 @@ impl ClusterSim {
         if self.booting || self.active >= self.cfg.nodes {
             return;
         }
-        let total: u64 = self.in_flight.iter().sum::<u64>() + self.lb_queue.len() as u64;
+        let total = self.in_flight_total + self.lb_queue.len() as u64;
         if total as f64 > a.hi_inflight_per_node * self.active as f64 {
             self.booting = true;
             let boot = Cycles::from_micros(a.boot_us, self.freq());
@@ -722,6 +899,7 @@ mod tests {
     use crate::workload::Workload;
     use um_arch::config::TopologyShape;
     use um_arch::MachineConfig;
+    use um_sim::fault::{FaultPlan, FaultWindow};
 
     fn tiny(routing: RoutingPolicy) -> ClusterConfig {
         ClusterConfig {
@@ -822,7 +1000,6 @@ mod tests {
 
     #[test]
     fn steering_routes_around_a_degraded_node() {
-        use um_sim::fault::{FaultPlan, FaultWindow};
         let horizon =
             Cycles::from_micros(8_000.0, um_arch::MachineConfig::umanycore().core.frequency);
         // Node 1 is a straggler for the whole run.
@@ -888,6 +1065,145 @@ mod tests {
             long_slots as f64 <= 1.5 * short_slots as f64,
             "LB records {short_slots} -> {long_slots} for {short_done} -> {long_done} completed"
         );
+    }
+
+    impl ClusterSim {
+        /// The rack without a lookahead window: each candidate set drawn
+        /// at its decision and one package step per wake.
+        fn stepwise(cfg: ClusterConfig) -> Self {
+            let mut sim = Self::new(cfg);
+            sim.lookahead = None;
+            sim
+        }
+    }
+
+    fn summary_bits(s: &Summary) -> [u64; 6] {
+        [
+            s.count as u64,
+            s.mean.to_bits(),
+            s.p50.to_bits(),
+            s.p99.to_bits(),
+            s.max.to_bits(),
+            s.tail_to_avg.to_bits(),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 64,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Stepping packages ahead to their routing horizon reports
+        /// exactly what stepping them one wake at a time does, for every
+        /// policy, with and without caps, autoscale, jitter and steering.
+        #[test]
+        fn lookahead_matches_one_step_per_wake(
+            shape in (0usize..4, 1usize..4, 2usize..13),
+            knobs in (0usize..4, 0usize..4, 0usize..3, 0usize..3),
+            load in (proptest::bool::ANY, 2_000.0f64..7_000.0, 0u64..1_000),
+        ) {
+            let (policy, d, nodes) = shape;
+            let (cap, autoscale, jitter, steer) = knobs;
+            let (bursty, rps, seed) = load;
+            let mut cfg = tiny([
+                RoutingPolicy::Random,
+                RoutingPolicy::RoundRobin,
+                RoutingPolicy::JsqD { d },
+                RoutingPolicy::CentralQueue,
+            ][policy]);
+            cfg.nodes = nodes;
+            cfg.rps_per_node = rps;
+            cfg.seed = seed;
+            cfg.horizon_us = 4_000.0;
+            cfg.warmup_us = 400.0;
+            if bursty {
+                cfg.arrivals = ArrivalProcess::Bursty;
+            }
+            // Caps and autoscale each in a quarter of the cases, so that
+            // about a quarter of the racks draw ahead. A cap small enough
+            // to queue.
+            cfg.max_in_flight = (cap == 3).then_some(1 + seed as usize % 4);
+            if autoscale == 3 {
+                cfg.autoscale = Some(ClusterAutoscale {
+                    initial_nodes: 1 + seed as usize % nodes,
+                    hi_inflight_per_node: 2.0 + (seed % 3) as f64,
+                    boot_us: 300.0,
+                });
+            }
+            if jitter > 0 {
+                cfg.net.jitter_us = Some(ServiceTimeDist::exponential(0.5 * jitter as f64));
+            }
+            // Steering with an empty plan (ignored), or with one node
+            // degraded for part of the run.
+            cfg.steer = steer > 0;
+            if steer == 2 {
+                let freq = cfg.node.machine.core.frequency;
+                let window = FaultWindow::new(
+                    Cycles::from_micros(500.0, freq),
+                    Cycles::from_micros(3_000.0, freq),
+                    8.0,
+                );
+                cfg.fault_plan = FaultPlan::builder(seed)
+                    .core_fail_slow(seed as usize % nodes, 0, 1, window)
+                    .build();
+            }
+            let ahead = ClusterSim::new(cfg.clone()).run();
+            let stepwise = ClusterSim::stepwise(cfg).run();
+            proptest::prop_assert_eq!(summary_bits(&ahead.latency), summary_bits(&stepwise.latency));
+            proptest::prop_assert_eq!(
+                summary_bits(&ahead.cluster_hop),
+                summary_bits(&stepwise.cluster_hop)
+            );
+            proptest::prop_assert_eq!(ahead.completed, stepwise.completed);
+            proptest::prop_assert_eq!(ahead.recorded, stepwise.recorded);
+            proptest::prop_assert_eq!(ahead.events, stepwise.events);
+            proptest::prop_assert_eq!(&ahead.dispatched_per_node, &stepwise.dispatched_per_node);
+            proptest::prop_assert_eq!(ahead.peak_lb_queue, stepwise.peak_lb_queue);
+            proptest::prop_assert_eq!(ahead.boots, stepwise.boots);
+            for (a, b) in ahead.node_reports.iter().zip(&stepwise.node_reports) {
+                proptest::prop_assert_eq!(a.latency.p99.to_bits(), b.latency.p99.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn jsq_candidates_match_a_shuffled_copy() {
+        // The in-place draw over `pool` against a partial Fisher-Yates of
+        // a fresh copy of the eligible list, over full and filtered sets.
+        let nodes = 9;
+        let mut router = Router {
+            policy: RoutingPolicy::JsqD { d: 1 },
+            rng: simrng::stream(5, "cluster-routing"),
+            rr_next: 0,
+            eligible: Vec::new(),
+            pool: (0..nodes).collect(),
+        };
+        let mut reference = simrng::stream(5, "cluster-routing");
+        for round in 0..2_000usize {
+            let d = 1 + round % 11;
+            router.policy = RoutingPolicy::JsqD { d };
+            router.eligible.clear();
+            router
+                .eligible
+                .extend((0..nodes).filter(|n| (n * 7 + round) % 5 != 0 || round % 3 == 0));
+            let mut got = Vec::new();
+            router.draw(nodes, &mut got);
+
+            let mut copy = router.eligible.clone();
+            let k = d.min(copy.len());
+            let mut want = Vec::new();
+            for i in 0..k {
+                let j = reference.gen_range(i..copy.len());
+                copy.swap(i, j);
+                want.push(copy[i]);
+            }
+            assert_eq!(got, want, "round {round}, d {d}");
+            assert!(
+                router.pool.iter().enumerate().all(|(i, &v)| i == v),
+                "round {round}: the pool is back to the identity"
+            );
+        }
     }
 
     #[test]

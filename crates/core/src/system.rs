@@ -158,6 +158,11 @@ impl ArrivalCursor {
         best
     }
 
+    /// Every arrival of stream `source`, read or not.
+    pub(crate) fn stream(&self, source: usize) -> &[Cycles] {
+        &self.streams[source]
+    }
+
     /// Time of the next arrival, if any is left.
     pub(crate) fn peek(&self) -> Option<Cycles> {
         self.head.map(|(t, _)| t)

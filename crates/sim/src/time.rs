@@ -48,9 +48,10 @@ impl Cycles {
     /// # Panics
     ///
     /// Panics if `micros` is negative or NaN.
+    #[inline]
     pub fn from_micros(micros: f64, freq: Frequency) -> Self {
         assert!(micros >= 0.0, "negative duration {micros} us");
-        Cycles((micros * freq.cycles_per_micro()).round() as u64)
+        Cycles(round_to_u64(micros * freq.cycles_per_micro()))
     }
 
     /// Converts a nanosecond duration at `freq` into cycles (rounded).
@@ -63,6 +64,7 @@ impl Cycles {
     }
 
     /// This duration in microseconds at `freq`.
+    #[inline]
     pub fn as_micros(self, freq: Frequency) -> f64 {
         self.0 as f64 / freq.cycles_per_micro()
     }
@@ -90,11 +92,13 @@ impl Cycles {
     }
 
     /// The larger of two times.
+    #[inline]
     pub fn max(self, other: Cycles) -> Cycles {
         Cycles(self.0.max(other.0))
     }
 
     /// The smaller of two times.
+    #[inline]
     pub fn min(self, other: Cycles) -> Cycles {
         Cycles(self.0.min(other.0))
     }
@@ -104,14 +108,16 @@ impl Cycles {
     /// # Panics
     ///
     /// Panics if `factor` is negative or NaN.
+    #[inline]
     pub fn scale(self, factor: f64) -> Cycles {
         assert!(factor >= 0.0, "negative scale factor {factor}");
-        Cycles((self.0 as f64 * factor).round() as u64)
+        Cycles(round_to_u64(self.0 as f64 * factor))
     }
 }
 
 impl Add for Cycles {
     type Output = Cycles;
+    #[inline]
     fn add(self, rhs: Cycles) -> Cycles {
         Cycles(self.0.saturating_add(rhs.0))
     }
@@ -129,6 +135,7 @@ impl Sub for Cycles {
     ///
     /// Panics on underflow: event timestamps are monotone, so subtracting a
     /// later time from an earlier one is always a simulator bug.
+    #[inline]
     fn sub(self, rhs: Cycles) -> Cycles {
         Cycles(
             self.0
@@ -169,6 +176,25 @@ impl fmt::Display for Cycles {
     }
 }
 
+/// `x.round() as u64`, without the libm `round` call that the baseline
+/// x86-64 target makes for `f64::round`. Below 2^52 the truncation and the
+/// fraction `x - trunc(x)` are exact, so comparing the fraction with one
+/// half rounds ties away from zero as `f64::round` does (and a negative
+/// `x` gives a negative fraction, hence zero, as the saturating cast of a
+/// negative rounded value does). From 2^52 up every float is already an
+/// integer, and the saturating cast maps infinity to `u64::MAX` and NaN to
+/// zero, as after `round`.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x < EXACT {
+        let whole = x as u64;
+        whole + u64::from(x - whole as f64 >= 0.5)
+    } else {
+        x as u64
+    }
+}
+
 /// A clock frequency, used to convert between cycles and wall time.
 ///
 /// # Examples
@@ -201,6 +227,7 @@ impl Frequency {
     }
 
     /// Cycles in one microsecond at this frequency.
+    #[inline]
     pub fn cycles_per_micro(self) -> f64 {
         self.ghz * 1_000.0
     }
@@ -272,6 +299,51 @@ mod tests {
     fn scale_rounds() {
         assert_eq!(Cycles::new(10).scale(1.26), Cycles::new(13));
         assert_eq!(Cycles::new(10).scale(0.0), Cycles::ZERO);
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_at_the_edges() {
+        let exact = (1u64 << 52) as f64;
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            exact - 0.5,
+            exact - 1.5,
+            exact,
+            exact + 1.0,
+            2.0 * exact + 2.0,
+            u64::MAX as f64,
+            1e30,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            -0.5,
+            -2.5,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rounding_matches_f64_round(
+            bits in 0u64..u64::MAX,
+            small in 0.0f64..1e7,
+            quarters in 0u64..1 << 12,
+        ) {
+            // Any bit pattern, ordinary durations, their ties, and values
+            // a few quarters either side of 2^52.
+            let exact = (1u64 << 52) as f64;
+            let near = quarters as f64 * 0.25;
+            for x in [f64::from_bits(bits), small, small.trunc() + 0.5, exact - near, exact + near] {
+                proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::dist::{sample_geometric, ServiceTimeDist};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Identifier of a service type (not an instance).
 ///
@@ -248,7 +249,9 @@ impl ServiceProfile {
 /// clients invoke directly (the *roots*).
 ///
 /// This is the only application type: [`crate::apps::SocialNetwork::graph`]
-/// and [`crate::trainticket::TrainTicket::graph`] each build one.
+/// and [`crate::trainticket::TrainTicket::graph`] each build one. The
+/// graph is read-only once built, so clones share one copy: a rack's
+/// packages all read the same profiles.
 ///
 /// # Examples
 ///
@@ -260,8 +263,8 @@ impl ServiceProfile {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ServiceGraph {
-    profiles: Vec<ServiceProfile>,
-    roots: Vec<ServiceId>,
+    profiles: Arc<[ServiceProfile]>,
+    roots: Arc<[ServiceId]>,
 }
 
 impl ServiceGraph {
@@ -287,7 +290,10 @@ impl ServiceGraph {
         for r in &roots {
             assert!(r.index() < profiles.len(), "unknown root {r}");
         }
-        Self { profiles, roots }
+        Self {
+            profiles: profiles.into(),
+            roots: roots.into(),
+        }
     }
 
     /// Number of services (roots + internal tiers).
