@@ -32,7 +32,6 @@
 //! assert!((0.8..1.25).contains(&ratio));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coherence;

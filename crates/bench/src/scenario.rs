@@ -1270,7 +1270,7 @@ macro_rules! tagged {
             fn write(&self) -> Json {
                 match self {
                     $($ty::$var $({ $($f),* })? => {
-                        #[allow(unused_mut)]
+                        #[allow(unused_mut, reason = "field-less variants push nothing")]
                         let mut pairs = vec![("type", Json::Str($tag.to_string()))];
                         $($(put(&mut pairs, stringify!($f), $f);)*)?
                         obj(pairs)

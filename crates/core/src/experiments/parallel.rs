@@ -28,8 +28,11 @@ pub const THREADS_ENV: &str = "UM_THREADS";
 /// Returns the worker-pool size: `UM_THREADS` if set to a positive
 /// integer, otherwise the machine's available parallelism (1 if
 /// unknown).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UM_THREADS only sizes the worker pool; the sweep merge is deterministic at any value"
+)]
 pub fn threads() -> usize {
-    // um-tidy: allow(env-read) -- UM_THREADS only sizes the worker pool; the sweep merge is deterministic at any value
     match std::env::var(THREADS_ENV) {
         Ok(v) => threads_from_value(Some(&v)),
         Err(_) => threads_from_value(None),

@@ -46,7 +46,6 @@
 //! The `um-bench` crate contains one binary per paper figure/table; see
 //! EXPERIMENTS.md at the repository root for the index.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

@@ -1730,7 +1730,10 @@ impl SystemSim {
 
     /// A storage attempt's response arrives: if its operation is still
     /// open, charge the winning legs and unblock; otherwise it lost.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a storage response carries its request, generation, four charged legs and the clock"
+    )]
     fn on_storage_done(
         &mut self,
         req: ReqId,

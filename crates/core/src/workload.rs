@@ -147,7 +147,7 @@ mod tests {
     fn mix_covers_all_roots() {
         let w = Workload::social_mix();
         let mut rng = SmallRng::seed_from_u64(2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..500 {
             seen.insert(w.sample_root(&mut rng));
         }
@@ -173,7 +173,7 @@ mod tests {
         let w = Workload::train_mix();
         let mut rng = SmallRng::seed_from_u64(5);
         assert_eq!(w.services().len(), 12);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..200 {
             let root = w.sample_root(&mut rng);
             seen.insert(root);

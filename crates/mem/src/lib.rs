@@ -28,7 +28,6 @@
 //! assert!(l1.access(0x1000, false).is_hit()); // second touch hits
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

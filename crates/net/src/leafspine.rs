@@ -273,8 +273,8 @@ mod tests {
     #[test]
     fn link_ids_unique_across_stages() {
         let t = LeafSpine::paper_default();
-        use std::collections::HashSet;
-        let mut ids = HashSet::new();
+        use std::collections::BTreeSet;
+        let mut ids = BTreeSet::new();
         for leaf in 0..t.endpoints() {
             for s in 0..t.spines_per_pod {
                 assert!(ids.insert(t.leaf_up(leaf, s)));
@@ -339,7 +339,7 @@ mod proptests {
             for &l in &route {
                 prop_assert!(l < t.num_links());
             }
-            let unique: std::collections::HashSet<_> = route.iter().collect();
+            let unique: std::collections::BTreeSet<_> = route.iter().collect();
             prop_assert_eq!(unique.len(), route.len(), "no repeated links");
             let _ = first_choice; // keep the import used under cfg(test)
         }

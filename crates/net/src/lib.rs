@@ -31,7 +31,6 @@
 //! assert!(arrive > um_sim::Cycles::ZERO);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod external;

@@ -36,7 +36,6 @@
 //! assert_eq!(*ctx, "request ctx");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ctxswitch;

@@ -14,9 +14,8 @@
 //! seeded [`FaultPlanBuilder`] (whose randomized scenario helpers draw from
 //! a private stream derived from the builder seed), so a plan built at
 //! sweep point `i` from `derive_seed(master, i)` is identical no matter
-//! how many worker threads evaluate the sweep. [`FaultPlan::from_events`]
-//! exists as an escape hatch for tests and is flagged by the `um-tidy`
-//! `raw-fault-plan` rule outside this crate.
+//! how many worker threads evaluate the sweep. The plan's fields are
+//! private, so no other constructor can exist outside this module.
 //!
 //! # Examples
 //!
@@ -145,13 +144,6 @@ impl FaultPlan {
             rng: rng::stream(seed, "fault-plan"),
             events: Vec::new(),
         }
-    }
-
-    /// Builds a plan directly from an event list, bypassing the seeded
-    /// builder. Test-and-tooling escape hatch; flagged by the um-tidy
-    /// `raw-fault-plan` rule in simulator crates.
-    pub fn from_events(seed: u64, events: Vec<FaultEvent>) -> Self {
-        Self { seed, events }
     }
 
     /// The seed the plan was built from.

@@ -35,7 +35,6 @@
 //! assert_eq!(q.pop(), None);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;

@@ -13,6 +13,11 @@
 //! determinism test and committed result in the repo; the differential
 //! tests in `tests/queue_model.rs` pin it against a reference model.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "EventQueue is the one sanctioned heap: its (time, seq) key is the delivery contract"
+)]
+
 use crate::Cycles;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

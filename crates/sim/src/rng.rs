@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn indexed_streams_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..100 {
             let mut r = stream_indexed(7, "core", i);
             assert!(seen.insert(r.gen::<u64>()), "collision at index {i}");
@@ -107,7 +107,7 @@ mod tests {
 
     #[test]
     fn derived_seeds_are_distinct_and_stable() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..1_000 {
             assert!(seen.insert(derive_seed(42, i)), "collision at index {i}");
         }

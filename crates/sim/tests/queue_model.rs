@@ -8,6 +8,11 @@
 //! out to `u64::MAX` included — and must produce identical
 //! `(time, seq, event)` streams at every step.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the reference model spells out EventQueue's contract on a plain heap"
+)]
+
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

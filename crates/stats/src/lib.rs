@@ -28,7 +28,6 @@
 //! assert!(lat.mean() > 3.0); // the outlier pulls the mean up
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cdf;

@@ -9,8 +9,8 @@
 //! - [`Lexed::lines`]: per source line, the *code* text (string, char and
 //!   raw-string contents blanked, comments removed) and the *comment*
 //!   text (line and block comments, doc comments included). Rules match
-//!   against the code view; `um-tidy:` directives and `SAFETY:` markers
-//!   are parsed from the comment view, so neither can hide in the other.
+//!   against the code view; `um-tidy:` directives are parsed from the
+//!   comment view, so neither can hide in the other.
 //! - [`Lexed::tokens`]: a minimal token stream (identifiers, string
 //!   literal contents, parentheses) for the cross-file passes that need
 //!   to see *into* literals, e.g. harvesting the stream tags passed to
@@ -538,7 +538,7 @@ mod tests {
 
     #[test]
     fn directive_in_string_is_not_in_comment_view() {
-        let l = lex("let m = \"um-tidy: allow(wall-clock) -- nope\";");
+        let l = lex("let m = \"um-tidy: allow(async-in-sim) -- nope\";");
         assert!(l.lines[0].comment.is_empty());
     }
 

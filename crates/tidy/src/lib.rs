@@ -10,16 +10,21 @@
 //! escape hatch:
 //!
 //! ```text
-//! // um-tidy: allow(unordered-container) -- iteration order never escapes
+//! // um-tidy: allow(float-accumulation) -- serial fold over a fixed order
 //! ```
 //!
 //! The directive goes on the offending line or the line directly above it,
 //! and the `-- <reason>` justification is mandatory — an allow without a
 //! reason is itself a violation. Every allow that actually suppresses a
 //! diagnostic is *debt*, tracked per rule in the committed ledger
-//! `results/tidy_debt.txt` (regenerate with `um-tidy --debt`); CI diffs
-//! the ledger against a fresh run so debt can only grow through an
+//! `results/tidy_debt.txt` (regenerate with `um-tidy --debt`), next to one
+//! row per compiler lint that an `#[allow]` or `#[expect]` attribute names;
+//! CI diffs the ledger against a fresh run so debt can only grow through an
 //! explicit, reviewed commit.
+//!
+//! Bans on a named type, method, macro or attribute are not here: the
+//! root `clippy.toml` and the `[workspace.lints]` table hold them, where
+//! the compiler resolves aliases and re-exports a lexer cannot see.
 //!
 //! # Architecture (v2)
 //!
@@ -45,13 +50,12 @@
 //! diffs the two so they cannot drift.
 //!
 //! "Sim-state crates" are every `crates/*` member except `um-bench`
-//! (which measures wall time by design) and `um-tidy` itself. Test code —
-//! files under a `tests/` directory and regions inside `#[cfg(test)]`
-//! items — is exempt from the rules that only protect simulation state,
-//! because a test-local map whose iteration order never reaches an
-//! assertion cannot break reproducibility.
+//! (which measures wall time by design), `um-serve` and `um-tidy`
+//! itself. Test code — files under a `tests/` directory and regions
+//! inside `#[cfg(test)]` items — is exempt from the rules that only
+//! protect simulation state, because a test-local fold or sort whose
+//! order never reaches a result cannot break reproducibility.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lexer;
@@ -65,65 +69,35 @@ use lexer::{LineView, Tok};
 /// Every rule the pass knows, in diagnostic-id order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// `HashMap`/`HashSet` in sim-state code.
-    UnorderedContainer,
-    /// `Instant::now` / `SystemTime` outside `um-bench`.
-    WallClock,
-    /// `thread_rng` / `from_entropy` outside `um-bench`.
-    UnseededRng,
     /// Truncating cast on a cycle/latency-named value.
     CycleTruncCast,
     /// Float equality on a cycle/latency-named value.
     CycleFloatCmp,
-    /// `FaultPlan::from_events` outside `um-sim` (bypasses seeded builder).
-    RawFaultPlan,
-    /// `BinaryHeap` for sim state.
-    RawBinaryHeap,
-    /// `dbg!` / `todo!` / `unimplemented!` in non-test code.
-    DebugMacro,
-    /// `#[ignore]` without a reason string.
-    IgnoreWithoutReason,
-    /// `unsafe` without a `// SAFETY:` comment.
-    UnsafeWithoutSafety,
     /// The same RNG stream tag constructed in two different files.
     DuplicateSeedStream,
     /// Order-dependent float accumulation (`+=` / `sum()`) in sim state.
     FloatAccumulation,
     /// Float sorts via `partial_cmp().unwrap()` / unstable float sorts.
     PartialCmpSort,
-    /// Environment reads inside the deterministic sim core.
-    EnvRead,
     /// async/tokio types inside the std-only sim core.
     AsyncInSim,
-    /// Raw simulator types (`SimConfig`, `SystemSim`, …) in um-serve.
-    ServeRawConfig,
     /// Malformed or unknown `um-tidy:` directive.
     AllowSyntax,
 }
 
 impl Rule {
     /// All rules, for `--list-rules` and the allow-directive parser.
-    pub const ALL: [Rule; 17] = [
-        Rule::UnorderedContainer,
-        Rule::WallClock,
-        Rule::UnseededRng,
+    pub const ALL: [Rule; 7] = [
         Rule::CycleTruncCast,
         Rule::CycleFloatCmp,
-        Rule::RawFaultPlan,
-        Rule::RawBinaryHeap,
-        Rule::DebugMacro,
-        Rule::IgnoreWithoutReason,
-        Rule::UnsafeWithoutSafety,
         Rule::DuplicateSeedStream,
         Rule::FloatAccumulation,
         Rule::PartialCmpSort,
-        Rule::EnvRead,
         Rule::AsyncInSim,
-        Rule::ServeRawConfig,
         Rule::AllowSyntax,
     ];
 
-    /// Number of rules (the debt ledger has one row per rule).
+    /// Number of rules; the debt ledger opens with one row per rule.
     pub const COUNT: usize = Rule::ALL.len();
 
     /// Position of this rule in [`Rule::ALL`].
@@ -134,22 +108,12 @@ impl Rule {
     /// The id used in diagnostics and `allow(...)` directives.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::UnorderedContainer => "unordered-container",
-            Rule::WallClock => "wall-clock",
-            Rule::UnseededRng => "unseeded-rng",
             Rule::CycleTruncCast => "cycle-trunc-cast",
             Rule::CycleFloatCmp => "cycle-float-cmp",
-            Rule::RawFaultPlan => "raw-fault-plan",
-            Rule::RawBinaryHeap => "raw-binary-heap",
-            Rule::DebugMacro => "debug-macro",
-            Rule::IgnoreWithoutReason => "ignore-without-reason",
-            Rule::UnsafeWithoutSafety => "unsafe-without-safety",
             Rule::DuplicateSeedStream => "duplicate-seed-stream",
             Rule::FloatAccumulation => "float-accumulation",
             Rule::PartialCmpSort => "partial-cmp-sort",
-            Rule::EnvRead => "env-read",
             Rule::AsyncInSim => "async-in-sim",
-            Rule::ServeRawConfig => "serve-raw-config",
             Rule::AllowSyntax => "allow-syntax",
         }
     }
@@ -157,18 +121,6 @@ impl Rule {
     /// One-line description for `--list-rules`.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::UnorderedContainer => {
-                "HashMap/HashSet iteration order is nondeterministic; use BTreeMap/BTreeSet \
-                 in sim-state code"
-            }
-            Rule::WallClock => {
-                "wall-clock reads (Instant::now, SystemTime) break reproducibility; only \
-                 um-bench may time things"
-            }
-            Rule::UnseededRng => {
-                "entropy-seeded RNGs (thread_rng, from_entropy) break reproducibility; derive \
-                 seeds via um_sim::rng"
-            }
             Rule::CycleTruncCast => {
                 "truncating casts on cycle/latency values silently wrap; use u64/u128 totals \
                  or checked/saturating conversions"
@@ -177,18 +129,6 @@ impl Rule {
                 "float equality on cycle/latency values is precision-dependent; compare in \
                  integer Cycles or use an epsilon"
             }
-            Rule::RawFaultPlan => {
-                "FaultPlan::from_events bypasses the seeded builder; construct plans with \
-                 FaultPlan::builder(seed) so sweeps stay derive_seed-reproducible"
-            }
-            Rule::RawBinaryHeap => {
-                "a raw BinaryHeap's pop order among equal keys is not the simulator's delivery \
-                 contract; future-event state goes through um_sim::EventQueue, whose \
-                 (time, seq) heap is the one exempt use"
-            }
-            Rule::DebugMacro => "dbg!/todo!/unimplemented! must not reach non-test code",
-            Rule::IgnoreWithoutReason => "#[ignore] needs a reason string: #[ignore = \"why\"]",
-            Rule::UnsafeWithoutSafety => "unsafe blocks need a // SAFETY: comment justifying them",
             Rule::DuplicateSeedStream => {
                 "two components constructing um_sim::rng streams with the same tag draw \
                  identical random sequences; every component needs a unique stream tag"
@@ -202,18 +142,9 @@ impl Rule {
                 "sort_by(partial_cmp().unwrap()) panics on NaN and unstable float sorts \
                  reorder ties nondeterministically; use total_cmp with a stable sort"
             }
-            Rule::EnvRead => {
-                "std::env reads inside the sim core make results depend on ambient process \
-                 state; plumb configuration through typed configs from the driver layer"
-            }
             Rule::AsyncInSim => {
                 "async/tokio inside the sim core pulls executor scheduling into the \
                  deterministic kernel; even um-serve serves with std threads only"
-            }
-            Rule::ServeRawConfig => {
-                "um-serve must speak the public um_bench::scenario API; raw \
-                 SimConfig/SystemSim types in the service layer would let jobs drift from \
-                 what um-sweep runs and break the byte-identical-results contract"
             }
             Rule::AllowSyntax => {
                 "um-tidy directives must be `um-tidy: allow(<rule>) -- <reason>` with a \
@@ -225,16 +156,8 @@ impl Rule {
     /// What the rule denies — the DESIGN.md table's second column.
     pub fn denies(self) -> &'static str {
         match self {
-            Rule::UnorderedContainer => "`HashMap`/`HashSet` (unordered iteration)",
-            Rule::WallClock => "`Instant::now`, `SystemTime`",
-            Rule::UnseededRng => "`thread_rng`, `from_entropy`",
             Rule::CycleTruncCast => "`as u32`/`as usize`/… on cycle/latency values",
             Rule::CycleFloatCmp => "`==`/`!=` on float cycle/latency values",
-            Rule::RawFaultPlan => "`FaultPlan::from_events` (bypasses the seeded builder)",
-            Rule::RawBinaryHeap => "`BinaryHeap` for sim state (bypasses `um_sim::EventQueue`)",
-            Rule::DebugMacro => "`dbg!`, `todo!`, `unimplemented!`",
-            Rule::IgnoreWithoutReason => "bare `#[ignore]`",
-            Rule::UnsafeWithoutSafety => "`unsafe` without a `// SAFETY:` comment",
             Rule::DuplicateSeedStream => {
                 "one `rng::stream`/`stream_indexed` tag constructed in two files"
             }
@@ -243,11 +166,7 @@ impl Rule {
                 "`sort_by`/`select_nth_unstable_by` with `partial_cmp`, `sort_unstable_by` on \
                  float keys"
             }
-            Rule::EnvRead => "`std::env::var` and friends",
             Rule::AsyncInSim => "`async`/`await`/`tokio` in the sim core",
-            Rule::ServeRawConfig => {
-                "`SimConfig`/`ClusterConfig`/`SystemSim`/`ClusterSim` (bypass the scenario API)"
-            }
             Rule::AllowSyntax => "malformed/unknown `um-tidy:` directives",
         }
     }
@@ -255,22 +174,12 @@ impl Rule {
     /// Where the rule applies — the DESIGN.md table's third column.
     pub fn applies_where(self) -> &'static str {
         match self {
-            Rule::UnorderedContainer => "sim-state crates, non-test code",
-            Rule::WallClock => "everywhere but `um-bench`",
-            Rule::UnseededRng => "everywhere but `um-bench`",
             Rule::CycleTruncCast => "non-test code",
             Rule::CycleFloatCmp => "non-test code",
-            Rule::RawFaultPlan => "outside `um-sim`, non-test code",
-            Rule::RawBinaryHeap => "sim-state crates except `um-sim`'s `queue.rs`, non-test code",
-            Rule::DebugMacro => "non-test code",
-            Rule::IgnoreWithoutReason => "everywhere",
-            Rule::UnsafeWithoutSafety => "everywhere",
             Rule::DuplicateSeedStream => "workspace-wide (cross-file), non-test code",
             Rule::FloatAccumulation => "sim-state crates except `um-stats`, non-test code",
             Rule::PartialCmpSort => "sim-state crates, non-test code",
-            Rule::EnvRead => "sim-state crates, non-test code",
             Rule::AsyncInSim => "sim-state crates, non-test code",
-            Rule::ServeRawConfig => "`crates/serve`, non-test code",
             Rule::AllowSyntax => "everywhere",
         }
     }
@@ -323,13 +232,15 @@ impl fmt::Display for Diagnostic {
 }
 
 /// The result of a whole-workspace (or multi-file) run: diagnostics plus
-/// the allow-debt accounting the ledger and `--json` report render.
+/// the debt accounting the ledger renders.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// All diagnostics, sorted by (path, line).
     pub diagnostics: Vec<Diagnostic>,
     /// Suppressed-diagnostic count per rule, indexed by [`Rule::index`].
     pub debt: Vec<usize>,
+    /// `#[allow]`/`#[expect]` attributes per lint they name.
+    pub lint_debt: BTreeMap<String, usize>,
     /// Files scanned.
     pub files: usize,
     /// Source lines scanned.
@@ -337,9 +248,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// Total allow-debt across all rules.
+    /// Total debt: suppressed diagnostics plus lint attributes.
     pub fn total_debt(&self) -> usize {
-        self.debt.iter().sum()
+        self.debt.iter().sum::<usize>() + self.lint_debt.values().sum::<usize>()
     }
 }
 
@@ -350,8 +261,6 @@ struct FileContext {
     krate: Option<String>,
     /// The whole file is test code (under a `tests/` directory).
     test_file: bool,
-    /// The file is `crates/sim/src/queue.rs`, home of `um_sim::EventQueue`.
-    event_queue: bool,
 }
 
 impl FileContext {
@@ -362,12 +271,7 @@ impl FileContext {
             .and_then(|rest| rest.split('/').next())
             .map(str::to_owned);
         let test_file = norm.starts_with("tests/") || norm.contains("/tests/");
-        let event_queue = norm == "crates/sim/src/queue.rs";
-        Self {
-            krate,
-            test_file,
-            event_queue,
-        }
+        Self { krate, test_file }
     }
 
     /// Sim-state crates: every workspace member under `crates/` except the
@@ -375,26 +279,6 @@ impl FileContext {
     /// worker pool, outside the determinism boundary) and this pass itself.
     fn is_sim_state_crate(&self) -> bool {
         matches!(&self.krate, Some(k) if k != "bench" && k != "tidy" && k != "serve")
-    }
-
-    /// Wall-clock and entropy rules run everywhere except `um-bench`
-    /// (benchmark timing), `um-serve` (outside the determinism boundary)
-    /// and this crate.
-    fn bans_wall_clock(&self) -> bool {
-        !matches!(&self.krate, Some(k) if k == "bench" || k == "tidy" || k == "serve")
-    }
-
-    /// Raw fault-plan construction is banned outside `um-sim` (where the
-    /// seeded builder lives and round-trips through `from_events` in its
-    /// own tests) and this crate.
-    fn bans_raw_fault_plan(&self) -> bool {
-        !matches!(&self.krate, Some(k) if k == "sim" || k == "tidy")
-    }
-
-    /// Raw `BinaryHeap`s are banned in sim-state crates except in the one
-    /// file that implements `EventQueue` on top of one.
-    fn bans_raw_binary_heap(&self) -> bool {
-        self.is_sim_state_crate() && !self.event_queue
     }
 
     /// Float accumulation is banned in sim-state crates except `um-stats`,
@@ -554,6 +438,38 @@ fn parse_directives(
     allowed
 }
 
+/// Lints named by the `#[allow(...)]` and `#[expect(...)]` attributes
+/// (outer or inner) in a file's code view, in source order. The lexer
+/// blanks string contents, so a `reason = "..."` cannot leak a name.
+fn lint_attributes(lines: &[LineView]) -> Vec<String> {
+    let code: Vec<&str> = lines.iter().map(|l| l.code.as_str()).collect();
+    let code = code.join("\n");
+    let mut lints = Vec::new();
+    let mut rest = code.as_str();
+    while let Some(at) = rest.find('#') {
+        rest = &rest[at + 1..];
+        let attr = rest.trim_start_matches('!').trim_start();
+        let Some(attr) = attr.strip_prefix('[') else {
+            continue;
+        };
+        let attr = attr.trim_start();
+        let Some(args) = ["allow", "expect"]
+            .iter()
+            .find_map(|kind| attr.strip_prefix(kind)?.trim_start().strip_prefix('('))
+        else {
+            continue;
+        };
+        let Some(close) = args.find(')') else { break };
+        for arg in args[..close].split(',') {
+            let lint: String = arg.split_whitespace().collect();
+            if !lint.is_empty() && !lint.contains('=') {
+                lints.push(lint);
+            }
+        }
+    }
+    lints
+}
+
 /// Tracks `#[cfg(test)]` scopes by brace nesting: the exemption starts at
 /// the attribute and ends at the closing brace of the item it gates (or
 /// at the item's `;` for brace-less items), instead of extending to the
@@ -616,6 +532,8 @@ struct FileAnalysis {
     seed_sites: Vec<SeedSite>,
     /// Suppressed diagnostics per rule, indexed by [`Rule::index`].
     used_allows: Vec<usize>,
+    /// Lints named by `#[allow]`/`#[expect]` attributes.
+    lint_attributes: Vec<String>,
     lines: usize,
 }
 
@@ -625,6 +543,7 @@ fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
     let lexed = lexer::lex(source);
     let mut out = FileAnalysis {
         used_allows: vec![0; Rule::COUNT],
+        lint_attributes: lint_attributes(&lexed.lines),
         lines: lexed.lines.len(),
         ..FileAnalysis::default()
     };
@@ -656,87 +575,6 @@ fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
 
         let mut firings: Vec<(Rule, String)> = Vec::new();
 
-        // -- determinism rules ------------------------------------------
-        if ctx.is_sim_state_crate()
-            && !in_test
-            && (contains_word(cleaned, "HashMap") || contains_word(cleaned, "HashSet"))
-        {
-            firings.push((
-                Rule::UnorderedContainer,
-                "unordered container in sim-state code: iteration order varies across runs; \
-                 use BTreeMap/BTreeSet (or justify with an allow)"
-                    .into(),
-            ));
-        }
-        if ctx.bans_wall_clock() {
-            for pat in ["Instant::now", "SystemTime"] {
-                if cleaned.contains(pat) {
-                    firings.push((
-                        Rule::WallClock,
-                        format!(
-                            "`{pat}` reads the wall clock: simulation results must depend only \
-                             on the seed; only um-bench may time things"
-                        ),
-                    ));
-                }
-            }
-            for pat in ["thread_rng", "from_entropy"] {
-                if contains_word(cleaned, pat) {
-                    firings.push((
-                        Rule::UnseededRng,
-                        format!(
-                            "`{pat}` seeds from OS entropy: derive a per-component stream from \
-                             the master seed via um_sim::rng instead"
-                        ),
-                    ));
-                }
-            }
-        }
-
-        // -- event-queue provenance -------------------------------------
-        // The (time, seq) heap in crates/sim/src/queue.rs is the one
-        // future-event structure; its reference model lives in the sim
-        // crate's tests.
-        if ctx.bans_raw_binary_heap() && !in_test && contains_word(cleaned, "BinaryHeap") {
-            firings.push((
-                Rule::RawBinaryHeap,
-                "raw BinaryHeap for sim state: time-ordered event state must go through \
-                 um_sim::EventQueue, which owns the (time, seq) FIFO delivery contract the \
-                 determinism tests pin"
-                    .into(),
-            ));
-        }
-
-        // -- service-layer provenance -----------------------------------
-        // um-serve exists to serve scenarios, not to run simulators by
-        // hand: jobs must go through the public um_bench::scenario API so
-        // a served result can never diverge from a direct um-sweep run.
-        if matches!(&ctx.krate, Some(k) if k == "serve") && !in_test {
-            for ty in ["SimConfig", "ClusterConfig", "SystemSim", "ClusterSim"] {
-                if contains_word(cleaned, ty) {
-                    firings.push((
-                        Rule::ServeRawConfig,
-                        format!(
-                            "raw `{ty}` in the service layer: um-serve must run jobs through \
-                             um_bench::scenario (validate/expand/run), the same path um-sweep \
-                             takes, so served results stay byte-identical to direct runs"
-                        ),
-                    ));
-                }
-            }
-        }
-
-        // -- fault-plan provenance --------------------------------------
-        if ctx.bans_raw_fault_plan() && !in_test && contains_word(cleaned, "from_events") {
-            firings.push((
-                Rule::RawFaultPlan,
-                "raw fault-plan construction bypasses the seeded builder: use \
-                 FaultPlan::builder(seed) so plans derive from the master seed and sweeps \
-                 stay reproducible"
-                    .into(),
-            ));
-        }
-
         // -- cycle-arithmetic rules -------------------------------------
         if !in_test {
             let lower = cleaned.to_lowercase();
@@ -764,18 +602,6 @@ fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
                         "float equality on a cycle/latency value depends on rounding; compare \
                          integer Cycles or use an explicit tolerance"
                             .into(),
-                    ));
-                }
-            }
-
-            // -- hygiene: debug macros ----------------------------------
-            for mac in ["dbg!", "todo!", "unimplemented!"] {
-                // The '!' ends the identifier, so a plain substring match
-                // with a left word-boundary suffices.
-                if contains_word(cleaned, &mac[..mac.len() - 1]) && cleaned.contains(mac) {
-                    firings.push((
-                        Rule::DebugMacro,
-                        format!("`{mac}` must not reach non-test code"),
                     ));
                 }
             }
@@ -824,49 +650,19 @@ fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
                 }
             }
 
-            // -- service-layer fences -----------------------------------
-            if ctx.is_sim_state_crate() {
-                if cleaned.contains("env::var") || contains_word(cleaned, "var_os") {
-                    firings.push((
-                        Rule::EnvRead,
-                        "environment read inside the deterministic sim core: results must be \
-                         a function of typed configs and the seed, not ambient process state; \
-                         read the environment in the driver layer and pass values down"
-                            .into(),
-                    ));
-                }
-                if contains_word(cleaned, "async")
+            // -- service-layer fence ------------------------------------
+            if ctx.is_sim_state_crate()
+                && (contains_word(cleaned, "async")
                     || cleaned.contains(".await")
                     || contains_word(cleaned, "tokio")
-                    || contains_word(cleaned, "async_std")
-                {
-                    firings.push((
-                        Rule::AsyncInSim,
-                        "async construct inside the std-only sim core: executor scheduling is \
-                         nondeterministic; the service layer lives outside crates/* and talks \
-                         to the kernel through its synchronous API"
-                            .into(),
-                    ));
-                }
-            }
-        }
-
-        // -- hygiene: bare #[ignore] ------------------------------------
-        if cleaned.contains("#[ignore]") {
-            firings.push((
-                Rule::IgnoreWithoutReason,
-                "give the skip a reason: `#[ignore = \"why\"]`".into(),
-            ));
-        }
-
-        // -- hygiene: unsafe without SAFETY -----------------------------
-        if contains_word(cleaned, "unsafe") && !cleaned.contains("forbid") {
-            let documented =
-                (idx.saturating_sub(3)..=idx).any(|i| lexed.lines[i].comment.contains("SAFETY:"));
-            if !documented {
+                    || contains_word(cleaned, "async_std"))
+            {
                 firings.push((
-                    Rule::UnsafeWithoutSafety,
-                    "unsafe needs a `// SAFETY:` comment on it or within the 3 lines above".into(),
+                    Rule::AsyncInSim,
+                    "async construct inside the std-only sim core: executor scheduling is \
+                     nondeterministic; the service layer lives outside crates/* and talks \
+                     to the kernel through its synchronous API"
+                        .into(),
                 ));
             }
         }
@@ -967,6 +763,9 @@ fn aggregate(analyses: Vec<(String, FileAnalysis)>) -> Report {
         report.lines += analysis.lines;
         for (i, used) in analysis.used_allows.iter().enumerate() {
             report.debt[i] += used;
+        }
+        for lint in analysis.lint_attributes {
+            *report.lint_debt.entry(lint).or_default() += 1;
         }
         for site in analysis.seed_sites {
             streams
@@ -1078,26 +877,27 @@ pub fn workspace_report(root: &Path) -> std::io::Result<Report> {
 }
 
 /// Renders the committed debt ledger (`results/tidy_debt.txt`): one row
-/// per rule counting diagnostics suppressed by allow directives, plus a
+/// per rule counting diagnostics suppressed by allow directives, one row
+/// per compiler lint an `#[allow]`/`#[expect]` attribute names, plus a
 /// total. CI regenerates this and diffs it against the committed file, so
-/// allow-debt growth is always an explicit, reviewed change.
+/// debt growth is always an explicit, reviewed change.
 pub fn render_debt(report: &Report) -> String {
     let mut out = String::new();
-    out.push_str("# um-tidy allow-directive debt ledger\n");
-    out.push_str("# One row per rule: diagnostics suppressed by `um-tidy: allow(...)`\n");
-    out.push_str("# directives in the live tree. CI diffs this file against a fresh run;\n");
-    out.push_str("# debt may only change together with a regenerated, committed ledger.\n");
+    out.push_str("# um-tidy debt ledger\n");
+    out.push_str("# One row per um-tidy rule: diagnostics suppressed by `um-tidy: allow(...)`\n");
+    out.push_str("# directives in the live tree. Then one row per compiler lint named by an\n");
+    out.push_str("# `#[allow]` or `#[expect]` attribute. CI diffs this file against a fresh\n");
+    out.push_str("# run; debt may only change together with a regenerated, committed ledger.\n");
     out.push_str(
         "# Regenerate: cargo run --release -p um-tidy -- --debt > results/tidy_debt.txt\n",
     );
-    for rule in Rule::ALL {
-        out.push_str(&format!(
-            "{:<24} {}\n",
-            rule.id(),
-            report.debt[rule.index()]
-        ));
+    let rows = Rule::ALL
+        .iter()
+        .map(|rule| (rule.id(), report.debt[rule.index()]))
+        .chain(report.lint_debt.iter().map(|(lint, &n)| (lint.as_str(), n)));
+    for (name, n) in rows.chain([("total", report.total_debt())]) {
+        out.push_str(&format!("{name:<32} {n}\n"));
     }
-    out.push_str(&format!("{:<24} {}\n", "total", report.total_debt()));
     out
 }
 
@@ -1118,10 +918,10 @@ mod tests {
 
     #[test]
     fn word_boundaries() {
-        assert!(contains_word("use std::collections::HashMap;", "HashMap"));
-        assert!(!contains_word("forbid(unsafe_code)", "unsafe"));
-        assert!(contains_word("unsafe {", "unsafe"));
-        assert!(!contains_word("my_thread_rng_like", "thread_rng"));
+        assert!(contains_word("pub async fn poll() {}", "async"));
+        assert!(!contains_word("let asynchrony = 1;", "async"));
+        assert!(contains_word("let x: f64 = 1.0;", "f64"));
+        assert!(!contains_word("my_f64_like", "f64"));
     }
 
     #[test]
@@ -1136,19 +936,19 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_flagged_only_outside_tests() {
-        let src = "use std::collections::HashMap;\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
+    fn async_flagged_only_outside_tests() {
+        let src = "pub async fn a() {}\n#[cfg(test)]\nmod tests {\n    async fn b() {}\n}\n";
         let diags = check_source("crates/net/src/x.rs", src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 1);
-        assert_eq!(diags[0].rule, Rule::UnorderedContainer);
+        assert_eq!(diags[0].rule, Rule::AsyncInSim);
     }
 
     #[test]
     fn test_scope_ends_at_module_close() {
         // v1 treated everything after the first #[cfg(test)] as test code;
         // the nesting-aware tracker resumes linting after the close brace.
-        let src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\nuse std::collections::HashMap;\n";
+        let src = "#[cfg(test)]\nmod tests {\n    async fn b() {}\n}\npub async fn a() {}\n";
         let diags = check_source("crates/net/src/x.rs", src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 5);
@@ -1156,7 +956,7 @@ mod tests {
 
     #[test]
     fn braceless_cfg_test_item_scopes_one_item() {
-        let src = "#[cfg(test)]\nuse std::collections::HashMap;\nuse std::collections::HashSet;\n";
+        let src = "#[cfg(test)]\nuse tokio::spawn;\nuse tokio::sync;\n";
         let diags = check_source("crates/net/src/x.rs", src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 3);
@@ -1164,24 +964,26 @@ mod tests {
 
     #[test]
     fn block_comments_and_raw_strings_do_not_trip_rules() {
-        let src = "/*\n  HashMap in a block comment\n*/\nlet s = r#\"HashMap in a raw string\"#;\nlet l: &'static str = \"x\";\n";
+        let src = "/*\n  async fn in a block comment\n*/\nlet s = r#\"tokio in a raw string\"#;\nlet l: &'static str = \"x\";\n";
         assert!(check_source("crates/net/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn allow_on_same_line_and_above() {
-        let same = "use std::collections::HashMap; // um-tidy: allow(unordered-container) -- keyed lookups only\n";
+        let same =
+            "pub async fn a() {} // um-tidy: allow(async-in-sim) -- never awaited in the kernel\n";
         assert!(check_source("crates/net/src/x.rs", same).is_empty());
-        let above = "// um-tidy: allow(unordered-container) -- keyed lookups only\nuse std::collections::HashMap;\n";
+        let above =
+            "// um-tidy: allow(async-in-sim) -- never awaited in the kernel\npub async fn a() {}\n";
         assert!(check_source("crates/net/src/x.rs", above).is_empty());
     }
 
     #[test]
     fn allow_without_reason_rejected() {
-        let src = "use std::collections::HashMap; // um-tidy: allow(unordered-container)\n";
+        let src = "pub async fn a() {} // um-tidy: allow(async-in-sim)\n";
         let diags = check_source("crates/net/src/x.rs", src);
         assert!(diags.iter().any(|d| d.rule == Rule::AllowSyntax));
-        assert!(diags.iter().any(|d| d.rule == Rule::UnorderedContainer));
+        assert!(diags.iter().any(|d| d.rule == Rule::AsyncInSim));
     }
 
     #[test]
@@ -1215,94 +1017,8 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_allowed_in_bench() {
-        let src = "let t = std::time::Instant::now();\n";
-        assert!(check_source("crates/bench/src/lib.rs", src).is_empty());
-        assert_eq!(
-            check_source("crates/sim/src/x.rs", src)[0].rule,
-            Rule::WallClock
-        );
-        assert_eq!(check_source("src/lib.rs", src)[0].rule, Rule::WallClock);
-    }
-
-    #[test]
-    fn ignore_needs_reason() {
-        assert_eq!(
-            check_source("tests/t.rs", "#[ignore]\n")[0].rule,
-            Rule::IgnoreWithoutReason
-        );
-        assert!(check_source("tests/t.rs", "#[ignore = \"slow\"]\n").is_empty());
-    }
-
-    #[test]
-    fn unsafe_needs_safety_comment() {
-        let bad = "unsafe { *p }\n";
-        assert_eq!(
-            check_source("crates/sim/src/x.rs", bad)[0].rule,
-            Rule::UnsafeWithoutSafety
-        );
-        let good = "// SAFETY: p outlives the call\nunsafe { *p }\n";
-        assert!(check_source("crates/sim/src/x.rs", good).is_empty());
-        let forbid = "#![forbid(unsafe_code)]\n";
-        assert!(check_source("crates/sim/src/x.rs", forbid).is_empty());
-    }
-
-    #[test]
-    fn safety_in_a_string_does_not_count() {
-        let src = "let s = \"SAFETY: not a comment\";\nunsafe { *p }\n";
-        assert_eq!(
-            check_source("crates/sim/src/x.rs", src)[0].rule,
-            Rule::UnsafeWithoutSafety
-        );
-    }
-
-    #[test]
-    fn raw_fault_plan_flagged_outside_sim() {
-        let src = "let plan = FaultPlan::from_events(7, events);\n";
-        assert_eq!(
-            check_source("crates/core/src/x.rs", src)[0].rule,
-            Rule::RawFaultPlan
-        );
-        // um-sim itself (builder internals, round-trip tests) is exempt,
-        // as is test code anywhere.
-        assert!(check_source("crates/sim/src/fault.rs", src).is_empty());
-        assert!(check_source("tests/t.rs", src).is_empty());
-    }
-
-    #[test]
-    fn raw_binary_heap_flagged_in_sim_state_code() {
-        let src = "use std::collections::BinaryHeap;\n";
-        for path in [
-            "crates/core/src/x.rs",
-            "crates/sim/src/fault.rs",
-            "crates/sim/src/trace.rs",
-        ] {
-            assert_eq!(check_source(path, src)[0].rule, Rule::RawBinaryHeap);
-        }
-        // EventQueue's own file is built on the heap; the differential
-        // tests model it with one; um-bench is outside the sim-state fence.
-        for path in [
-            "crates/sim/src/queue.rs",
-            "crates/sim/tests/queue_model.rs",
-            "crates/bench/src/engine.rs",
-        ] {
-            assert!(check_source(path, src).is_empty());
-        }
-    }
-
-    #[test]
-    fn debug_macros_flagged_outside_tests() {
-        let src = "dbg!(x);\n";
-        assert_eq!(
-            check_source("crates/sim/src/x.rs", src)[0].rule,
-            Rule::DebugMacro
-        );
-        assert!(check_source("tests/t.rs", src).is_empty());
-    }
-
-    #[test]
     fn doc_comments_do_not_trip_rules() {
-        let src = "/// Uses a HashMap-like structure; see Instant::now docs.\nlet x = 1;\n";
+        let src = "/// An async-like handoff; see the tokio docs.\nlet x = 1;\n";
         assert!(check_source("crates/sim/src/x.rs", src).is_empty());
     }
 
@@ -1366,19 +1082,6 @@ mod tests {
     }
 
     #[test]
-    fn env_read_fenced_out_of_sim_core() {
-        let src = "let v = std::env::var(\"UM_THREADS\");\n";
-        assert_eq!(
-            check_source("crates/core/src/x.rs", src)[0].rule,
-            Rule::EnvRead
-        );
-        // The bench/driver layer and the lint itself read env by design.
-        assert!(check_source("crates/bench/src/lib.rs", src).is_empty());
-        assert!(check_source("crates/tidy/src/main.rs", src).is_empty());
-        assert!(check_source("src/lib.rs", src).is_empty());
-    }
-
-    #[test]
     fn async_fenced_out_of_sim_core() {
         for src in [
             "pub async fn serve() {}\n",
@@ -1394,26 +1097,6 @@ mod tests {
         }
         assert!(check_source("crates/sched/src/x.rs", "let asynchrony = 1;\n").is_empty());
         assert!(check_source("src/service.rs", "pub async fn serve() {}\n").is_empty());
-    }
-
-    #[test]
-    fn raw_sim_types_flagged_only_in_serve() {
-        let diags = check_source(
-            "crates/serve/src/service.rs",
-            "let r = SystemSim::new(cfg).run();\n",
-        );
-        assert_eq!(diags.first().map(|d| d.rule), Some(Rule::ServeRawConfig));
-        // The scenario layer, tests, and the rest of the workspace build
-        // and run simulators by design.
-        assert!(check_source("crates/serve/tests/service.rs", "SystemSim::new(cfg)\n").is_empty());
-        assert!(check_source("crates/bench/src/scenario.rs", "SystemSim::new(cfg)\n").is_empty());
-        // um-serve reading UM_THREADS for its pool size is outside the
-        // sim-core env fence.
-        assert!(check_source(
-            "crates/serve/src/service.rs",
-            "std::env::var(\"UM_THREADS\")\n"
-        )
-        .is_empty());
     }
 
     #[test]
@@ -1482,19 +1165,46 @@ mod tests {
     fn used_allows_count_as_debt() {
         let files = vec![(
             "crates/net/src/a.rs".to_string(),
-            "use std::collections::HashMap; // um-tidy: allow(unordered-container) -- keyed lookups only\n"
+            "pub async fn a() {} // um-tidy: allow(async-in-sim) -- never awaited in the kernel\n"
                 .to_string(),
         )];
         let report = check_files(&files);
         assert!(report.diagnostics.is_empty());
-        assert_eq!(report.debt[Rule::UnorderedContainer.index()], 1);
+        assert_eq!(report.debt[Rule::AsyncInSim.index()], 1);
         assert_eq!(report.total_debt(), 1);
         // An allow that suppresses nothing is not debt.
         let unused = vec![(
             "crates/net/src/a.rs".to_string(),
-            "let x = 1; // um-tidy: allow(unordered-container) -- nothing here\n".to_string(),
+            "let x = 1; // um-tidy: allow(async-in-sim) -- nothing here\n".to_string(),
         )];
         assert_eq!(check_files(&unused).total_debt(), 0);
+    }
+
+    #[test]
+    fn lint_attributes_count_as_debt() {
+        let src = "#![expect(clippy::disallowed_types, reason = \"a, b\")]\n\
+                   #[allow(\n    clippy::too_many_arguments,\n    unused_mut,\n    reason = \"why\"\n)]\n\
+                   fn f() {}\n\
+                   #[expect(clippy::disallowed_types)]\n\
+                   #[cfg_attr(test, allow(dead_code))]\n\
+                   // #[allow(dead_code)] in a comment\n\
+                   let s = \"#[allow(dead_code)] in a string\";\n";
+        let report = check_files(&[("src/x.rs".to_string(), src.to_string())]);
+        let lints: Vec<(&str, usize)> = report
+            .lint_debt
+            .iter()
+            .map(|(lint, &n)| (lint.as_str(), n))
+            .collect();
+        assert_eq!(
+            lints,
+            [
+                ("clippy::disallowed_types", 2),
+                ("clippy::too_many_arguments", 1),
+                ("unused_mut", 1),
+            ]
+        );
+        assert_eq!(report.total_debt(), 4);
+        assert!(render_debt(&report).contains("clippy::disallowed_types         2\n"));
     }
 
     #[test]
@@ -1504,7 +1214,7 @@ mod tests {
         for rule in Rule::ALL {
             assert!(ledger.contains(rule.id()), "ledger misses {}", rule.id());
         }
-        assert!(ledger.ends_with("total                    0\n"));
+        assert!(ledger.ends_with(&format!("{:<32} 0\n", "total")));
     }
 
     #[test]

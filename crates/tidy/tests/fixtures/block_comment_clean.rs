@@ -1,7 +1,7 @@
 /*
- * Design notes spanning lines: a HashMap would reorder events here,
- * Instant::now() timing belongs in um-bench, and thread_rng would
- * unseed the run. None of this is code.
+ * Design notes spanning lines: an async fn would hand events to an
+ * executor, tokio::spawn would reorder them, and
+ * v.sort_by(|a, b| a.partial_cmp(b).unwrap()) panics on NaN. None of this is code.
  */
-/* nesting works too: /* inner HashMap mention */ still a comment */
+/* nesting works too: /* inner async fn mention */ still a comment */
 pub fn nothing() {}

@@ -1,8 +1,6 @@
 /* Multi-line header comment:
    the v1 line scanner lost track of this block and kept "linting"
-   comment text while missing the real import below. */
-use std::collections::HashMap; /* trailing block comment */
-
-pub fn lookup(m: &HashMap<u32, u32>, k: u32) -> Option<&u32> {
-    m.get(&k)
+   comment text while missing the real async code below. */
+pub async fn poll(link: Link) -> u32 { /* trailing block comment */
+    link.ready().await
 }

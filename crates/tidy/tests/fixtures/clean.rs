@@ -1,13 +1,13 @@
 //! Fixture: nothing to report.
 //!
-//! Doc comments may mention HashMap, Instant::now and thread_rng freely;
-//! matching is lexical but strings and comments are stripped first.
+//! Doc comments may mention async fn, .await and tokio freely; matching
+//! is lexical but strings and comments are stripped first.
 
 use std::collections::BTreeMap;
 
-/// Sums the map's values ("HashMap" in a string is also fine).
+/// Sums the map's values ("async fn" in a string is also fine).
 pub fn sum(map: &BTreeMap<u32, u64>) -> u64 {
-    let _s = "HashMap and SystemTime in a string literal";
+    let _s = "tokio::spawn(x).await in a string literal";
     map.values().sum()
 }
 
@@ -15,8 +15,9 @@ pub fn sum(map: &BTreeMap<u32, u64>) -> u64 {
 mod tests {
     #[test]
     fn works() {
-        let mut m = std::collections::HashMap::new();
-        m.insert(1u32, 2u64);
-        assert_eq!(super::sum(&m.into_iter().collect()), 2);
+        let total_cycles = 2u64;
+        let m = std::collections::BTreeMap::from([(1u32, total_cycles)]);
+        assert_eq!(super::sum(&m), 2);
+        assert_eq!(total_cycles as u32, 2);
     }
 }

@@ -1,8 +1,8 @@
 //! Raw strings carrying rule-tripping text are data, not code.
 pub fn snippet() -> &'static str {
-    r#"use std::collections::HashMap; // HashMap, Instant::now, thread_rng"#
+    r#"pub async fn poll() { tokio::spawn(work()).await }"#
 }
 
 pub fn hashed() -> &'static str {
-    r##"nested "#quote#" and dbg!(x) inside"##
+    r##"nested "#quote#" and v.sort_by(|a, b| a.partial_cmp(b).unwrap()) inside"##
 }

@@ -1,7 +1,5 @@
-//! The raw string must not mask the real import that follows it.
-pub const EXAMPLE: &str = r#"use std::collections::HashMap; // not code"#;
-use std::collections::HashMap;
-
-pub fn lookup(m: &HashMap<u32, u32>, k: u32) -> Option<&u32> {
-    m.get(&k)
+//! The raw string must not mask the real async code that follows it.
+pub const EXAMPLE: &str = r#"pub async fn poll() {} // not code"#;
+pub async fn poll(link: Link) -> u32 {
+    link.ready().await
 }

@@ -15,6 +15,13 @@
 //! fixture each, exercises every new rule's allow escape hatch, runs the
 //! cross-file `duplicate-seed-stream` pass over a fixture workspace, and
 //! asserts the live tree itself is clean.
+//!
+//! The last tests guard the compiler-checked half of the gate. The name
+//! bans live in the root `clippy.toml`. Clippy reads the nearest
+//! `clippy.toml` above a crate's manifest, so the root list covers every
+//! sim-state crate, and the stop files in um-bench, um-serve and um-tidy
+//! lift it there. A stray `clippy.toml` in a sim-state crate would shadow
+//! the root list without a word; so would a ban dropped from it.
 
 use std::path::{Path, PathBuf};
 
@@ -22,17 +29,6 @@ use std::path::{Path, PathBuf};
 /// fixtures that must be completely clean)
 const CASES: &[(&str, &str, &str)] = &[
     // one firing fixture per single-file rule
-    (
-        "unordered_container",
-        "crates/core/src/fixture.rs",
-        "unordered-container",
-    ),
-    ("wall_clock", "crates/sim/src/fixture.rs", "wall-clock"),
-    (
-        "unseeded_rng",
-        "crates/workload/src/fixture.rs",
-        "unseeded-rng",
-    ),
     (
         "cycle_trunc_cast",
         "crates/core/src/fixture.rs",
@@ -42,27 +38,6 @@ const CASES: &[(&str, &str, &str)] = &[
         "cycle_float_cmp",
         "crates/stats/src/fixture.rs",
         "cycle-float-cmp",
-    ),
-    (
-        "raw_fault_plan",
-        "crates/core/src/fixture.rs",
-        "raw-fault-plan",
-    ),
-    (
-        "raw_binary_heap",
-        "crates/core/src/fixture.rs",
-        "raw-binary-heap",
-    ),
-    ("debug_macro", "crates/sched/src/fixture.rs", "debug-macro"),
-    (
-        "ignore_without_reason",
-        "tests/fixture.rs",
-        "ignore-without-reason",
-    ),
-    (
-        "unsafe_without_safety",
-        "crates/mem/src/fixture.rs",
-        "unsafe-without-safety",
     ),
     ("allow_syntax", "crates/net/src/fixture.rs", "allow-syntax"),
     (
@@ -75,13 +50,7 @@ const CASES: &[(&str, &str, &str)] = &[
         "crates/stats/src/fixture.rs",
         "partial-cmp-sort",
     ),
-    ("env_read", "crates/sched/src/fixture.rs", "env-read"),
     ("async_in_sim", "crates/net/src/fixture.rs", "async-in-sim"),
-    (
-        "serve_raw_config",
-        "crates/serve/src/fixture.rs",
-        "serve-raw-config",
-    ),
     // allow escape hatches: suppressed diagnostics, zero output
     ("allow_escape", "crates/net/src/fixture.rs", ""),
     (
@@ -94,30 +63,24 @@ const CASES: &[(&str, &str, &str)] = &[
         "crates/stats/src/fixture.rs",
         "",
     ),
-    ("env_read_allowed", "crates/sched/src/fixture.rs", ""),
     ("async_in_sim_allowed", "crates/net/src/fixture.rs", ""),
-    (
-        "serve_raw_config_allowed",
-        "crates/serve/src/fixture.rs",
-        "",
-    ),
     // v1 line-scanner misreads, pinned as lexer regressions
     (
         "block_comment_fires",
         "crates/core/src/fixture.rs",
-        "unordered-container",
+        "async-in-sim",
     ),
     ("block_comment_clean", "crates/core/src/fixture.rs", ""),
     (
         "raw_string_fires",
         "crates/sim/src/fixture.rs",
-        "unordered-container",
+        "async-in-sim",
     ),
     ("raw_string_clean", "crates/sim/src/fixture.rs", ""),
     (
         "lifetime_fires",
         "crates/mem/src/fixture.rs",
-        "unordered-container",
+        "async-in-sim",
     ),
     ("lifetime_clean", "crates/mem/src/fixture.rs", ""),
     ("clean", "crates/arch/src/fixture.rs", ""),
@@ -128,6 +91,13 @@ const WS_DUP_SEED: &[(&str, &str)] = &[
     ("ws_dup_seed_a", "crates/net/src/fixture_a.rs"),
     ("ws_dup_seed_b", "crates/sched/src/fixture_b.rs"),
 ];
+
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+}
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -253,9 +223,7 @@ fn allowed_fixtures_register_debt() {
     for &(name, virtual_path) in &[
         ("float_accumulation_allowed", "crates/core/src/fixture.rs"),
         ("partial_cmp_sort_allowed", "crates/stats/src/fixture.rs"),
-        ("env_read_allowed", "crates/sched/src/fixture.rs"),
         ("async_in_sim_allowed", "crates/net/src/fixture.rs"),
-        ("serve_raw_config_allowed", "crates/serve/src/fixture.rs"),
     ] {
         let files = vec![(virtual_path.to_string(), read_fixture(name))];
         let report = um_tidy::check_files(&files);
@@ -269,10 +237,7 @@ fn allowed_fixtures_register_debt() {
 
 #[test]
 fn fixtures_are_excluded_from_the_workspace_scan() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root");
+    let root = workspace_root();
     let files = um_tidy::collect_rs_files(root).expect("scan workspace");
     assert!(!files.is_empty(), "the scan must find workspace sources");
     assert!(
@@ -285,10 +250,7 @@ fn fixtures_are_excluded_from_the_workspace_scan() {
 
 #[test]
 fn workspace_scan_order_is_sorted_and_stable() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root");
+    let root = workspace_root();
     let files = um_tidy::collect_rs_files(root).expect("scan workspace");
     let rels: Vec<String> = files
         .iter()
@@ -306,10 +268,7 @@ fn workspace_scan_order_is_sorted_and_stable() {
 
 #[test]
 fn live_tree_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root");
+    let root = workspace_root();
     let report = um_tidy::workspace_report(root).expect("scan workspace");
     assert!(
         report.diagnostics.is_empty(),
@@ -324,10 +283,7 @@ fn live_tree_is_clean() {
 
 #[test]
 fn committed_debt_ledger_matches_live_tree() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root");
+    let root = workspace_root();
     let report = um_tidy::workspace_report(root).expect("scan workspace");
     let fresh = um_tidy::render_debt(&report);
     let committed = std::fs::read_to_string(root.join("results/tidy_debt.txt"))
@@ -336,5 +292,109 @@ fn committed_debt_ledger_matches_live_tree() {
         committed, fresh,
         "debt ledger is stale: regenerate with \
          `cargo run --release -p um-tidy -- --debt > results/tidy_debt.txt`"
+    );
+}
+
+/// The banned paths, by the `clippy.toml` key that lists them.
+const BANS: &[(&str, &[&str])] = &[
+    (
+        "disallowed-methods",
+        &[
+            "std::time::Instant::now",
+            "std::env::var",
+            "std::env::var_os",
+            "std::env::vars",
+            "std::env::vars_os",
+        ],
+    ),
+    (
+        "disallowed-types",
+        &[
+            "std::time::SystemTime",
+            "std::collections::HashMap",
+            "std::collections::HashSet",
+            "std::collections::BinaryHeap",
+        ],
+    ),
+];
+
+/// The crates that time runs or read the environment by design. Clippy
+/// also reads `.clippy.toml`, so the scan below looks for both names.
+const STOP_FILES: &[&str] = &[
+    "crates/bench/clippy.toml",
+    "crates/serve/clippy.toml",
+    "crates/tidy/clippy.toml",
+];
+
+/// The file's lines with `#` comments dropped.
+fn config_lines(rel: &str) -> Vec<String> {
+    std::fs::read_to_string(workspace_root().join(rel))
+        .unwrap_or_else(|e| panic!("{rel}: {e}"))
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn root_config_lists_every_ban_under_its_key() {
+    let lines = config_lines("clippy.toml");
+    for &(key, paths) in BANS {
+        // The key's entries run from its line to the next top-level key.
+        let start = lines
+            .iter()
+            .position(|l| l.starts_with(&format!("{key} =")))
+            .unwrap_or_else(|| panic!("clippy.toml has no `{key}`"));
+        let end = lines[start + 1..]
+            .iter()
+            .position(|l| l.starts_with(|c: char| c.is_ascii_alphabetic()))
+            .map_or(lines.len(), |i| start + 1 + i);
+        let section = lines[start..end].join("\n");
+        for path in paths {
+            assert!(
+                section.contains(&format!("path = \"{path}\"")),
+                "clippy.toml's `{key}` must list `{path}`"
+            );
+        }
+    }
+}
+
+#[test]
+fn stop_files_ban_nothing() {
+    for rel in STOP_FILES {
+        for line in config_lines(rel) {
+            assert!(
+                !line.starts_with("disallowed-"),
+                "{rel} is a stop file and must not ban names: {line}"
+            );
+        }
+    }
+}
+
+#[test]
+fn no_other_clippy_config_under_crates() {
+    let mut found = Vec::new();
+    let mut stack: Vec<PathBuf> = vec![workspace_root().join("crates")];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read crates/") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                if !path.ends_with("target") {
+                    stack.push(path);
+                }
+            } else if path
+                .file_name()
+                .is_some_and(|n| n == "clippy.toml" || n == ".clippy.toml")
+            {
+                let rel = path.strip_prefix(workspace_root()).expect("under root");
+                found.push(rel.to_string_lossy().replace('\\', "/"));
+            }
+        }
+    }
+    found.sort();
+    assert_eq!(
+        found, STOP_FILES,
+        "a clippy.toml under crates/ shadows the root ban list for its crate"
     );
 }

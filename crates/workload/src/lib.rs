@@ -35,7 +35,6 @@
 //! assert!(plan.segments.len() >= 2); // ComposePost always fans out
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alibaba;

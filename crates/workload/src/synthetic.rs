@@ -120,7 +120,7 @@ mod tests {
     fn blocking_calls_in_range() {
         let w = SyntheticWorkload::new(ServiceTimeDist::exponential(50.0), 2, 6);
         let mut rng = SmallRng::seed_from_u64(8);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..1000 {
             let plan = w.sample_plan(&mut rng);
             let n = plan.rpc_count();

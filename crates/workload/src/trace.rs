@@ -220,7 +220,7 @@ mod tests {
             }
         }
         // Distinct instruction lines fit the stated instruction footprint.
-        let lines: std::collections::HashSet<u64> = refs
+        let lines: std::collections::BTreeSet<u64> = refs
             .iter()
             .filter(|r| r.instr)
             .map(|r| r.addr / 64)
@@ -235,7 +235,7 @@ mod tests {
             g.generate(200_000)
                 .iter()
                 .map(|r| r.addr / 64)
-                .collect::<std::collections::HashSet<_>>()
+                .collect::<std::collections::BTreeSet<_>>()
                 .len()
         };
         let micro = count_lines(TraceProfile::microservice(), 5);
