@@ -166,6 +166,13 @@ impl Request {
     pub fn is_complete(&self) -> bool {
         self.next_segment >= self.plan.segments.len()
     }
+
+    /// Whether operation `gen` is still open: the request is blocked on
+    /// it and no attempt has resolved it. A delivery, hedge point or
+    /// timeout for a closed operation lost its race.
+    pub fn op_open(&self, gen: u32) -> bool {
+        self.phase == Phase::Blocked && !self.op_resolved && self.op_gen == gen
+    }
 }
 
 /// A table whose freed slots are handed out again before it grows, so its
