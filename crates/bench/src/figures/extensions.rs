@@ -365,6 +365,7 @@ pub(super) fn autoscale(env: EnvScale) -> String {
         "p99 (us)",
         "boots",
         "RQ overflows",
+        "stranded",
     ]);
     for ((name, ..), r) in configs.iter().zip(&reports) {
         t.row(vec![
@@ -373,10 +374,14 @@ pub(super) fn autoscale(env: EnvScale) -> String {
             f1(r.latency.p99),
             r.instance_boots.to_string(),
             r.rq_overflows.to_string(),
+            r.stranded.to_string(),
         ]);
     }
     out.push_str(&t.render());
-    out.push('\n');
+    out.push_str(
+        "stranded: requests admitted but not completed when the run drained;\n\
+         their latency is missing from avg and p99.\n\n",
+    );
     out.push_str(
         "paper: snapshots cut instance boot from >300 ms to <10 ms (§3.5), which\n\
          is what lets the system absorb the Figure 2 bursts without tail spikes.\n",

@@ -198,6 +198,9 @@ pub struct ClusterReport {
     pub recorded: u64,
     /// Requests that exhausted their RPC attempts inside a node.
     pub gave_up: u64,
+    /// Requests the load balancer admitted that never got a response:
+    /// stuck in its queue or in a node. Zero on a healthy run.
+    pub stranded: u64,
     /// Requests dispatched to each node, by node index.
     pub dispatched_per_node: Vec<u64>,
     /// Largest LB admission-queue depth observed.
@@ -881,6 +884,7 @@ impl ClusterSim {
             completed: self.completed,
             recorded: self.recorded,
             gave_up: self.gave_up,
+            stranded: self.admitted - self.completed,
             dispatched_per_node: self.dispatched,
             peak_lb_queue: self.peak_lb_queue,
             boots: self.boots,

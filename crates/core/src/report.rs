@@ -124,10 +124,14 @@ pub struct RunReport {
     pub latency_samples: Samples,
     /// Mean village-queue waiting time per dispatch, microseconds.
     pub queue_wait_us: f64,
-    /// Completed external requests.
+    /// Completed requests, roots and RPC children.
     pub completed: u64,
     /// External requests recorded (completed after warm-up).
     pub recorded: u64,
+    /// Requests admitted (roots and RPC children) but not completed when
+    /// the run drained: requests stuck in a queue or blocked on a callee
+    /// that never answers. Zero on a healthy run.
+    pub stranded: u64,
     /// Mean core utilization across the run in `\[0, 1\]`.
     pub utilization: f64,
     /// Context switches performed.
@@ -180,6 +184,7 @@ mod tests {
             queue_wait_us: 0.0,
             completed: 100,
             recorded: 100,
+            stranded: 0,
             utilization: 0.5,
             ctx_switches: 0,
             steals: 0,

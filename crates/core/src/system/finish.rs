@@ -139,6 +139,7 @@ impl SystemSim {
             latency_samples: self.latency,
             completed: self.completed,
             recorded: self.recorded,
+            stranded: self.admitted - self.completed,
             utilization: (busy as f64 / total_core_cycles as f64).min(1.0),
             ctx_switches: self.ctx_switches,
             steals: self.steals,

@@ -40,6 +40,34 @@ fn umanycore_completes_all_requests() {
 }
 
 #[test]
+fn drained_runs_strand_nothing() {
+    for machine in [
+        MachineConfig::server_class_iso_power(),
+        MachineConfig::scaleout(),
+        MachineConfig::umanycore(),
+    ] {
+        let r = quick(machine, 5_000.0, 3);
+        assert!(r.completed > 50, "completed {}", r.completed);
+        assert_eq!(r.stranded, 0, "{} requests stranded", r.stranded);
+    }
+    let rack = crate::ClusterSim::new(crate::ClusterConfig {
+        node: SimConfig {
+            machine: MachineConfig::umanycore_shaped(um_arch::config::TopologyShape::new(2, 2, 4)),
+            ..SimConfig::default()
+        },
+        nodes: 3,
+        rps_per_node: 4_000.0,
+        horizon_us: 8_000.0,
+        warmup_us: 800.0,
+        seed: 7,
+        ..crate::ClusterConfig::default()
+    })
+    .run();
+    assert!(rack.completed > 50, "completed {}", rack.completed);
+    assert_eq!(rack.stranded, 0, "{} requests stranded", rack.stranded);
+}
+
+#[test]
 fn deterministic_per_seed() {
     let a = quick(MachineConfig::umanycore(), 5_000.0, 7);
     let b = quick(MachineConfig::umanycore(), 5_000.0, 7);

@@ -6,12 +6,18 @@
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use um_bench::benchjson::{obj, Json};
 use um_bench::scenario;
 
 use crate::http::{read_request, write_response, Request, Response};
 use crate::service::{JobService, JobStatus, SubmitError};
+
+/// How long one read or write on a connection may block. A peer that
+/// sends part of a request and falls silent gets a 400 once a read times
+/// out, instead of pinning its connection thread forever.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Binds the listener and runs the accept loop forever.
 ///
@@ -45,6 +51,12 @@ fn run(listener: TcpListener, service: Arc<JobService>) -> ! {
 }
 
 fn handle_connection(mut stream: TcpStream, service: &JobService) {
+    let bounded = stream
+        .set_read_timeout(Some(IO_TIMEOUT))
+        .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)));
+    if bounded.is_err() {
+        return; // a connection without timeouts could hold this thread forever
+    }
     let response = match read_request(&stream) {
         Ok(req) => route(&req, service),
         Err(e) => error_json(400, &e),

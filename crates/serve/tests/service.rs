@@ -6,13 +6,14 @@
 //! a full admission queue answers 429 with a `Retry-After` hint; and
 //! malformed submissions answer 400 with the scenario layer's field-path
 //! errors; an overlong request or header line answers 400 without
-//! waiting for a newline.
+//! waiting for a newline; and a peer that falls silent mid-request is
+//! answered or dropped once the server's I/O timeout passes.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use um_bench::benchjson::{obj, Json};
 use um_bench::scenario::{self, ScenarioKind};
@@ -335,4 +336,38 @@ fn overlong_lines_answer_400_without_a_newline() {
         assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
         assert!(reply.contains("exceeds"), "{reply}");
     }
+}
+
+#[test]
+fn a_silent_half_request_times_out_while_others_are_served() {
+    let (addr, _service) = start(ServiceConfig {
+        workers: 0,
+        queue_depth: 1,
+        retry_after_secs: 1,
+    });
+    // Half a request line and then silence: before the server's read
+    // timeout, this held its connection thread forever.
+    let mut stalled = TcpStream::connect(addr).expect("connect loopback");
+    stalled
+        .set_read_timeout(Some(server::IO_TIMEOUT * 3))
+        .expect("set read timeout");
+    stalled.write_all(b"GET /heal").expect("send half a line");
+    let sent = Instant::now();
+
+    let health = get(addr, "/healthz");
+    assert_eq!(health.status, 200, "{}", health.body);
+
+    let mut reply = String::new();
+    stalled
+        .read_to_string(&mut reply)
+        .expect("server answers or closes before the client gives up");
+    assert!(
+        reply.is_empty() || reply.starts_with("HTTP/1.1 400 "),
+        "{reply}"
+    );
+    let waited = sent.elapsed();
+    assert!(
+        waited < server::IO_TIMEOUT * 2,
+        "stalled connection held for {waited:?}"
+    );
 }
