@@ -386,19 +386,18 @@ impl SystemSim {
     ) -> usize {
         let plan = &self.cfg.fault_plan;
         let srv = &self.servers[server];
-        let load = |v: usize| {
-            (
-                plan.is_degraded(server, v, now),
-                srv.villages[v].queue.len(),
-                v,
-            )
-        };
         srv.service_map
             .villages(service.raw())
             .iter()
             .copied()
             .filter(|&v| v != avoid)
-            .min_by_key(|&v| load(v))
+            .min_by_key(|&v| {
+                (
+                    plan.is_degraded(server, v, now),
+                    srv.villages[v].queue.len(),
+                    v,
+                )
+            })
             .unwrap_or(avoid)
     }
 
